@@ -3,80 +3,66 @@
 //! Algorithm 4 of the paper computes the contexts of callees by "adding a
 //! constant to the contexts of the callers", noting that "this operation is
 //! also cheap in BDDs". This module is that operation: a ripple-carry
-//! construction memoized on (bit index, carry), so the resulting BDD has
-//! O(bits) distinct subfunctions regardless of the constant.
+//! construction whose state at each bit is the carry the bits below must
+//! produce, so the resulting BDD has O(bits) distinct subfunctions
+//! regardless of the constant.
+//!
+//! The relation is assembled from the least significant bit upwards, so
+//! every `ite` puts the current bit pair on top of sub-results over the
+//! bits below it. Domains are laid out most significant bit first, which
+//! makes each step O(1) under interleaved layouts instead of pushing a new
+//! bit under an already built sub-BDD. It is still built with apply
+//! operations, so the result is correct under any variable order,
+//! including after sifting.
 
 use crate::store::{Store, ONE, ZERO};
 use crate::Level;
-use std::collections::HashMap;
 
-/// Builds the relation `y = x + c` (no wrap-around: assignments that would
-/// overflow the bit width are excluded) over two equally wide bit vectors,
-/// least-significant bit first.
+/// Builds the relation `y = x + c` over two equally wide bit vectors
+/// (least-significant bit first). There is no wrap-around: assignments
+/// that would overflow the bit width are excluded, so a constant at or
+/// above `2^bits` yields the empty relation.
 pub(crate) fn add_const_rec(store: &mut Store, xbits: &[Level], ybits: &[Level], c: u64) -> u32 {
     debug_assert_eq!(xbits.len(), ybits.len());
     let n = xbits.len();
-    let mut memo: HashMap<(usize, u8), u32> = HashMap::new();
-    let mut protected = 0usize;
-    let res = rec(store, xbits, ybits, c, 0, 0, n, &mut memo, &mut protected);
-    store.unprotect(protected);
-    res
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rec(
-    store: &mut Store,
-    xbits: &[Level],
-    ybits: &[Level],
-    c: u64,
-    k: usize,
-    carry: u8,
-    n: usize,
-    memo: &mut HashMap<(usize, u8), u32>,
-    protected: &mut usize,
-) -> u32 {
-    if k == n {
-        // A remaining carry means overflow past the most significant bit.
-        return if carry == 0 { ONE } else { ZERO };
+    if n < 64 && c >> n != 0 {
+        return ZERO;
     }
-    if let Some(&r) = memo.get(&(k, carry)) {
-        return r;
+    // `below[r]`: assignments of the bits below the current one that add
+    // up with `c`'s low bits and carry `r` into the current bit. Below bit
+    // 0 there is nothing to add, so no carry.
+    let mut below = [ONE, ZERO];
+    for k in 0..n {
+        let ck = ((c >> k) & 1) as usize;
+        store.protect(below[0]);
+        store.protect(below[1]);
+        let y = store.ithvar(ybits[k]);
+        store.protect(y);
+        let x = store.ithvar(xbits[k]);
+        store.protect(x);
+        let mut next = [ZERO; 2];
+        for (carry_out, slot) in next.iter_mut().enumerate() {
+            let mut by_x = [ZERO; 2];
+            for (xk, branch) in by_x.iter_mut().enumerate() {
+                // The carry-in that makes `y_k = b` is fixed by parity; it
+                // qualifies if it also produces the required carry out.
+                let sub = |b: usize| {
+                    let carry_in = b ^ xk ^ ck;
+                    if (xk + ck + carry_in) >> 1 == carry_out {
+                        below[carry_in]
+                    } else {
+                        ZERO
+                    }
+                };
+                *branch = store.ite_rec(y, sub(1), sub(0));
+                store.protect(*branch);
+            }
+            *slot = store.ite_rec(x, by_x[1], by_x[0]);
+            store.unprotect(2);
+            store.protect(*slot);
+        }
+        store.unprotect(6);
+        below = next;
     }
-    let cb = ((c >> k) & 1) as u8;
-
-    // Both recursive calls run first: they push their memoized results onto
-    // the protection stack, and interleaving those pushes with this frame's
-    // own (strictly LIFO) pushes would unprotect the wrong nodes below.
-    let s0 = cb + carry;
-    let s1 = 1 + cb + carry;
-    let sub0 = rec(store, xbits, ybits, c, k + 1, s0 >> 1, n, memo, protected);
-    let sub1 = rec(store, xbits, ybits, c, k + 1, s1 >> 1, n, memo, protected);
-    // sub0/sub1 are terminals or memo entries, hence already protected.
-
-    let y0 = lit(store, ybits[k], s0 & 1 == 1);
-    store.protect(y0);
-    let b0 = store.and_rec(y0, sub0);
-    store.protect(b0);
-    let y1 = lit(store, ybits[k], s1 & 1 == 1);
-    store.protect(y1);
-    let b1 = store.and_rec(y1, sub1);
-    store.protect(b1);
-    let x = store.ithvar(xbits[k]);
-    store.protect(x);
-    let res = store.ite_rec(x, b1, b0);
-    store.unprotect(5);
-    // Keep memoized results protected until the whole construction is done:
-    // a later `mk` may garbage collect, and memo entries are raw indices.
-    store.protect(res);
-    *protected += 1;
-    memo.insert((k, carry), res);
-    res
-}
-
-fn lit(store: &mut Store, level: Level, positive: bool) -> u32 {
-    if positive {
-        store.ithvar(level)
-    } else {
-        store.nithvar(level)
-    }
+    below[0]
 }

@@ -336,12 +336,13 @@ impl Cache {
 
     /// Sanitizer audit: every *valid* entry (current generation, non-empty)
     /// must name only live nodes, under the same key layout
-    /// [`Cache::revalidate`] uses. A violation means an entry survived a
-    /// GC/reorder that freed one of its nodes — a stale hit waiting to
-    /// happen once the slot is reallocated.
+    /// [`Cache::revalidate`] uses; `fault` says what is wrong with any
+    /// other node. A violation means an entry survived a GC/reorder that
+    /// freed one of its nodes — a stale hit waiting to happen once the slot
+    /// is reallocated.
     pub(crate) fn check(
         &self,
-        live: impl Fn(u32) -> bool,
+        fault: impl Fn(u32) -> Option<&'static str>,
         b_is_node: bool,
         c_is_node: bool,
     ) -> Result<(), String> {
@@ -349,22 +350,21 @@ impl Cache {
             if e.gen != self.gen || e.a == NIL {
                 continue;
             }
-            let bad = if !live(e.a) {
-                Some(("a", e.a))
-            } else if !live(e.res) {
-                Some(("res", e.res))
-            } else if b_is_node && e.b != NIL && !live(e.b) {
-                Some(("b", e.b))
-            } else if c_is_node && e.c != NIL && !live(e.c) {
-                Some(("c", e.c))
-            } else {
-                None
-            };
-            if let Some((field, node)) = bad {
-                return Err(format!(
-                    "cache entry {i} ({},{},{})->{} names dead node {node} in field {field}",
-                    e.a, e.b, e.c, e.res
-                ));
+            for (field, node, is_node) in [
+                ("a", e.a, true),
+                ("res", e.res, true),
+                ("b", e.b, b_is_node && e.b != NIL),
+                ("c", e.c, c_is_node && e.c != NIL),
+            ] {
+                if !is_node {
+                    continue;
+                }
+                if let Some(what) = fault(node) {
+                    return Err(format!(
+                        "cache entry {i} ({},{},{})->{} names {node} in field {field}: {what}",
+                        e.a, e.b, e.c, e.res
+                    ));
+                }
             }
         }
         Ok(())

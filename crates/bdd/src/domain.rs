@@ -192,6 +192,32 @@ pub(crate) fn eq_rec(store: &mut Store, xbits: &[Level], ybits: &[Level]) -> u32
     acc
 }
 
+/// BDD holding exactly the tuples whose packed keys are `keys`: bit `j` of
+/// a key (counting from the most significant bit of word 0) is the value
+/// of the variable at `levels[j]`. `levels` must be strictly increasing and
+/// `keys` sorted and deduplicated, so each level's 0- and 1-halves of a key
+/// range are contiguous. Built by recursive partition with `mk` alone, so
+/// it makes at most one node per distinct key prefix.
+pub(crate) fn tuple_set_rec(store: &mut Store, levels: &[u32], keys: &[Vec<u64>]) -> u32 {
+    fn build(store: &mut Store, levels: &[u32], keys: &[Vec<u64>], depth: usize) -> u32 {
+        if keys.is_empty() {
+            return ZERO;
+        }
+        if depth == levels.len() {
+            return ONE;
+        }
+        let (word, mask) = (depth / 64, 1u64 << (63 - depth % 64));
+        let split = keys.partition_point(|k| k[word] & mask == 0);
+        let low = build(store, levels, &keys[..split], depth + 1);
+        store.protect(low);
+        let high = build(store, levels, &keys[split..], depth + 1);
+        let res = store.mk(levels[depth], low, high);
+        store.unprotect(1);
+        res
+    }
+    build(store, levels, keys, 0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::bits_for;

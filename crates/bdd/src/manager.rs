@@ -2,7 +2,9 @@
 
 use crate::adder::add_const_rec;
 use crate::cache::{CacheStats, NIL};
-use crate::domain::{bits_for, const_rec, eq_rec, range_rec, DomainData, DomainId, DomainSpec};
+use crate::domain::{
+    bits_for, const_rec, eq_rec, range_rec, tuple_set_rec, DomainData, DomainId, DomainSpec,
+};
 use crate::order::{assign_levels_grouped, OrderSpec, ReorderStats};
 use crate::sat::{decode_tuple, for_each_sat};
 use crate::store::{CachePolicy, Store, DEFAULT_MAX_GROWTH, NODE_BYTES, ONE, ZERO};
@@ -369,6 +371,79 @@ impl BddManager {
         self.wrap(&mut s, idx)
     }
 
+    /// The relation holding exactly `tuples` over the domains `doms`: value
+    /// `i` of each tuple lies in domain `doms[i]`. Duplicates are allowed
+    /// and an empty list gives the empty relation.
+    ///
+    /// Fact loading's bulk constructor: it packs every tuple into a key
+    /// whose bits follow the current variable order, sorts the keys and
+    /// builds the BDD straight from them, with no per-tuple minterms and no
+    /// apply operations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a domain appears twice in `doms`, a tuple's length differs
+    /// from `doms.len()`, or a value is outside its domain.
+    pub fn tuple_set<I, T>(&self, doms: &[DomainId], tuples: I) -> Bdd
+    where
+        I: IntoIterator<Item = T>,
+        T: AsRef<[u64]>,
+    {
+        let mut s = self.store.borrow_mut();
+        s.enter_public_op();
+        // One column per domain bit, sorted top of the order first; column
+        // `j` becomes bit `j` of a key, most significant first, so sorted
+        // keys follow the order.
+        let mut cols: Vec<(u32, usize, usize)> = Vec::new();
+        for (attr, d) in doms.iter().enumerate() {
+            assert!(
+                !doms[..attr].contains(d),
+                "tuple_set: domain `{}` appears twice",
+                s.domains[d.0].name
+            );
+            let bits = &s.domains[d.0].bits;
+            cols.extend(
+                bits.iter()
+                    .enumerate()
+                    .map(|(sig, &var)| (s.order.level_of(var), attr, sig)),
+            );
+        }
+        cols.sort_unstable();
+        let words = cols.len().div_ceil(64);
+        let mut keys: Vec<Vec<u64>> = Vec::new();
+        for t in tuples {
+            let t = t.as_ref();
+            assert_eq!(
+                t.len(),
+                doms.len(),
+                "tuple_set: tuple of {} values for {} domains",
+                t.len(),
+                doms.len()
+            );
+            for (&v, d) in t.iter().zip(doms) {
+                let dom = &s.domains[d.0];
+                assert!(
+                    v < dom.size,
+                    "value {v} out of range for domain `{}` of size {}",
+                    dom.name,
+                    dom.size
+                );
+            }
+            let mut key = vec![0u64; words];
+            for (j, &(_, attr, sig)) in cols.iter().enumerate() {
+                if (t[attr] >> sig) & 1 == 1 {
+                    key[j / 64] |= 1 << (63 - j % 64);
+                }
+            }
+            keys.push(key);
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        let levels: Vec<u32> = cols.iter().map(|c| c.0).collect();
+        let idx = tuple_set_rec(&mut s, &levels, &keys);
+        self.wrap(&mut s, idx)
+    }
+
     /// BDD encoding `lo <= x <= hi` in domain `d` — the O(bits) *range*
     /// primitive of Section 4.1 of the paper.
     ///
@@ -512,7 +587,7 @@ impl BddManager {
             varcount: s.varcount,
             live_nodes: live,
             peak_live_nodes: s.peak_live,
-            allocated_nodes: s.nodes.len(),
+            allocated_nodes: s.capacity,
             gc_runs: s.gc_runs,
             reorder_runs: s.reorder_runs,
             apply_cache,

@@ -118,10 +118,17 @@ impl Default for CachePolicy {
 const FUSED_SEQ_BASE: u32 = 0x8000_0000;
 
 pub(crate) struct Store {
+    /// The used prefix of the node table: every slot ever handed out, live
+    /// or freed. Slots past it up to `capacity` are reserved but never
+    /// written, so their memory is only touched once `mk` reaches them.
     pub(crate) nodes: Vec<Node>,
+    /// Logical node-table size: the number of slots `mk` may use before it
+    /// has to collect.
+    pub(crate) capacity: usize,
     marks: Vec<bool>,
     buckets: Vec<u32>,
     bucket_mask: usize,
+    /// Freed slots inside the used prefix (never-used slots are not chained).
     free_head: u32,
     free_count: usize,
     pub(crate) varcount: u32,
@@ -194,6 +201,32 @@ pub(crate) fn sanitize_default() -> bool {
     })
 }
 
+/// Has glibc serve every allocation of 1 MiB and up — node tables, bucket
+/// arrays, op caches — with its own `mmap`. Untouched reservations then
+/// cost no resident memory, and dropping a manager returns its arrays to
+/// the OS at once. By default glibc raises this threshold after the first
+/// large free, so later tables come from the heap, where freed memory can
+/// stay resident for the rest of the process.
+fn release_large_allocations_to_os() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            extern "C" {
+                fn mallopt(param: i32, value: i32) -> i32;
+            }
+            /// `M_MMAP_THRESHOLD` from glibc's `<malloc.h>`.
+            const M_MMAP_THRESHOLD: i32 = -3;
+            // SAFETY: `mallopt` is glibc's documented tuning entry point
+            // with this C signature; it only changes allocator parameters,
+            // takes no pointers, and is safe to call at any time.
+            unsafe {
+                mallopt(M_MMAP_THRESHOLD, 1 << 20);
+            }
+        });
+    }
+}
+
 #[inline]
 fn hash3(a: u32, b: u32, c: u32) -> usize {
     let mut h = (a as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -206,34 +239,27 @@ fn hash3(a: u32, b: u32, c: u32) -> usize {
 impl Store {
     pub(crate) fn new(varcount: u32, initial_capacity: usize) -> Self {
         let capacity = initial_capacity.next_power_of_two().max(1 << 12);
-        let mut nodes = vec![FREE_NODE; capacity];
-        nodes[ZERO as usize] = Node {
-            level: TERM_LEVEL,
-            low: ZERO,
-            high: ZERO,
-            refcount: 1,
-            next: NIL,
-        };
-        nodes[ONE as usize] = Node {
-            level: TERM_LEVEL,
-            low: ONE,
-            high: ONE,
-            refcount: 1,
-            next: NIL,
-        };
-        // Chain all remaining nodes into the free list.
-        let mut free_head = NIL;
-        for i in (2..capacity).rev() {
-            nodes[i].next = free_head;
-            free_head = i as u32;
+        release_large_allocations_to_os();
+        // Reserve the whole table but write only the terminals: the rest
+        // of the reservation stays untouched until `mk` first uses it.
+        let mut nodes = Vec::with_capacity(capacity);
+        for t in [ZERO, ONE] {
+            nodes.push(Node {
+                level: TERM_LEVEL,
+                low: t,
+                high: t,
+                refcount: 1,
+                next: NIL,
+            });
         }
         Store {
             nodes,
-            marks: vec![false; capacity],
+            capacity,
+            marks: Vec::new(),
             buckets: vec![NIL; capacity],
             bucket_mask: capacity - 1,
-            free_head,
-            free_count: capacity - 2,
+            free_head: NIL,
+            free_count: 0,
             varcount,
             refstack: Vec::with_capacity(1024),
             // The apply cache is the one with measured capacity misses
@@ -360,7 +386,7 @@ impl Store {
             }
             cur = n.next;
         }
-        if self.free_head == NIL {
+        if self.free_slots() == 0 {
             self.push_ref(low);
             self.push_ref(high);
             self.reclaim();
@@ -369,25 +395,45 @@ impl Store {
             slot = hash3(level, low, high) & self.bucket_mask;
             // The node cannot have appeared: GC only removes nodes.
         }
-        let idx = self.free_head;
-        self.free_head = self.nodes[idx as usize].next;
-        self.free_count -= 1;
-        self.nodes[idx as usize] = Node {
+        let idx = self.alloc_slot(Node {
             level,
             low,
             high,
             refcount: 0,
             next: self.buckets[slot],
-        };
+        });
         self.buckets[slot] = idx;
         idx
+    }
+
+    /// Slots `mk` can still hand out without collecting: freed slots in the
+    /// used prefix plus the never-used rest of the capacity.
+    fn free_slots(&self) -> usize {
+        self.free_count + (self.capacity - self.nodes.len())
+    }
+
+    /// Stores `node` in a free slot — the head of the free list, else the
+    /// first never-used slot — and returns its index. The caller has made
+    /// sure a slot is free ([`Store::free_slots`]).
+    fn alloc_slot(&mut self, node: Node) -> u32 {
+        if self.free_head != NIL {
+            let idx = self.free_head;
+            self.free_head = self.nodes[idx as usize].next;
+            self.free_count -= 1;
+            self.nodes[idx as usize] = node;
+            idx
+        } else {
+            debug_assert!(self.nodes.len() < self.capacity, "node table full");
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        }
     }
 
     /// Runs a garbage collection and grows the table if it is still mostly
     /// full afterwards.
     fn reclaim(&mut self) {
         self.gc();
-        if self.free_count < self.nodes.len() / 4 {
+        if self.free_slots() < self.capacity / 4 {
             self.grow();
         }
         if let Some(t) = self.auto_reorder_threshold {
@@ -402,6 +448,8 @@ impl Store {
 
     pub(crate) fn gc(&mut self) {
         self.peak_live = self.peak_live.max(self.live_count());
+        // Only the used prefix is scanned: slots past it were never written.
+        self.marks.resize(self.nodes.len(), false);
         // Mark phase: externally referenced nodes and the kernel refstack.
         for i in 2..self.nodes.len() {
             if self.nodes[i].refcount > 0 && self.nodes[i].low != NIL {
@@ -550,9 +598,11 @@ impl Store {
     ///
     /// * terminal nodes 0/1 are intact (self-children, terminal level);
     /// * no live node has `low == high` (such nodes must be reduced away);
+    /// * every node, bucket, free-list and cache index lies inside the
+    ///   used prefix of the table (slots past it were never written);
     /// * every live node's level is a real variable level, strictly above
     ///   (numerically below) both children's levels, and both children are
-    ///   in-bounds live nodes;
+    ///   live nodes;
     /// * the unique table is canonical: no two live nodes share
     ///   `(level, low, high)`, and every live node is reachable from its
     ///   hash bucket's chain;
@@ -575,6 +625,13 @@ impl Store {
             }
         }
         let live = |x: u32| x <= ONE || self.nodes[x as usize].low != NIL;
+        let past = |x: u32| x != NIL && x as usize >= n;
+        if let Some(b) = self.buckets.iter().position(|&h| past(h)) {
+            return Err(format!(
+                "bucket {b} head {} is past the used prefix of {n} slots",
+                self.buckets[b]
+            ));
+        }
         let mut keys: HashSet<(u32, u32, u32)> = HashSet::new();
         let mut live_seen = 0usize;
         for i in 2..n {
@@ -595,9 +652,17 @@ impl Store {
                     node.level, self.varcount
                 ));
             }
+            if past(node.next) {
+                return Err(format!(
+                    "node {i}: chain link {} is past the used prefix of {n} slots",
+                    node.next
+                ));
+            }
             for (name, c) in [("low", node.low), ("high", node.high)] {
-                if c as usize >= n {
-                    return Err(format!("node {i}: {name} child {c} out of bounds"));
+                if past(c) {
+                    return Err(format!(
+                        "node {i}: {name} child {c} is past the used prefix of {n} slots"
+                    ));
                 }
                 if !live(c) {
                     return Err(format!("node {i}: {name} child {c} is a freed slot"));
@@ -626,6 +691,11 @@ impl Store {
                     return Err(format!("bucket {slot} chain has a cycle"));
                 }
                 cur = self.nodes[cur as usize].next;
+                if past(cur) {
+                    return Err(format!(
+                        "bucket {slot} chain index {cur} is past the used prefix of {n} slots"
+                    ));
+                }
             }
             if cur == NIL {
                 return Err(format!(
@@ -640,6 +710,11 @@ impl Store {
             free_seen += 1;
             if free_seen > n {
                 return Err("free list has a cycle".into());
+            }
+            if past(cur) {
+                return Err(format!(
+                    "free-list index {cur} is past the used prefix of {n} slots"
+                ));
             }
             let node = &self.nodes[cur as usize];
             if node.low != NIL {
@@ -659,6 +734,15 @@ impl Store {
                 self.live_count()
             ));
         }
+        let fault = |x: u32| {
+            if past(x) {
+                Some("past the used prefix")
+            } else if !live(x) {
+                Some("a dead node")
+            } else {
+                None
+            }
+        };
         // Same key layouts as `revalidate_caches`.
         for (name, cache, b_node, c_node) in [
             ("apply", &self.apply_cache, true, false),
@@ -668,7 +752,7 @@ impl Store {
             ("client", &self.client_cache, true, false),
         ] {
             cache
-                .check(live, b_node, c_node)
+                .check(fault, b_node, c_node)
                 .map_err(|e| format!("{name} {e}"))?;
         }
         Ok(())
@@ -747,8 +831,10 @@ impl Store {
         }
     }
 
+    /// Doubles the logical capacity. The new slots are reserved, not
+    /// written or chained: `mk` reaches them once the free list runs dry.
     fn grow(&mut self) {
-        let old_len = self.nodes.len();
+        let old_len = self.capacity;
         let new_len = old_len * 2;
         // Keep the operation caches proportioned to the table: a cache much
         // smaller than the working set thrashes and destroys the
@@ -765,16 +851,11 @@ impl Store {
             .resize(target.saturating_sub(2).max(self.ite_cache.log2_size()));
         self.replace_cache
             .resize(target.saturating_sub(1).max(self.replace_cache.log2_size()));
-        self.nodes.resize(new_len, FREE_NODE);
-        self.marks.resize(new_len, false);
-        for i in (old_len..new_len).rev() {
-            self.nodes[i].next = self.free_head;
-            self.free_head = i as u32;
-            self.free_count += 1;
-        }
+        self.capacity = new_len;
+        self.nodes.reserve_exact(new_len - self.nodes.len());
         // Rebuild buckets at the new size: live nodes are exactly the chained
         // ones, collected from the old bucket array.
-        let mut live = Vec::with_capacity(old_len);
+        let mut live = Vec::with_capacity(self.live_count());
         for b in 0..self.buckets.len() {
             let mut cur = self.buckets[b];
             while cur != NIL {
@@ -1554,18 +1635,23 @@ impl Store {
             }
             cur = n.next;
         }
-        let idx = self.free_head;
-        debug_assert_ne!(idx, NIL, "swap ran out of pre-reserved capacity");
-        self.free_head = self.nodes[idx as usize].next;
-        self.free_count -= 1;
-        self.nodes[idx as usize] = Node {
+        debug_assert!(
+            self.free_slots() > 0,
+            "swap ran out of pre-reserved capacity"
+        );
+        let idx = self.alloc_slot(Node {
             level,
             low,
             high,
             refcount: 0,
             next: self.buckets[slot],
-        };
+        });
         self.buckets[slot] = idx;
+        if idx as usize >= ctx.rc.len() {
+            // A never-used slot: the context covers the used prefix only.
+            ctx.rc.resize(idx as usize + 1, 0);
+            ctx.pos.resize(idx as usize + 1, 0);
+        }
         ctx.rc[idx as usize] = 0;
         ctx.rc[low as usize] += 1;
         ctx.rc[high as usize] += 1;
@@ -1624,10 +1710,8 @@ impl Store {
         // Reserve enough free slots that phase B2 never allocates from an
         // empty list (each dependent node creates at most two children).
         let need = 2 * ctx.lists[lu].len() + 2;
-        while self.free_count < need {
+        while self.free_slots() < need {
             self.grow();
-            ctx.rc.resize(self.nodes.len(), 0);
-            ctx.pos.resize(self.nodes.len(), 0);
         }
         let unodes = std::mem::take(&mut ctx.lists[lu]);
         let vnodes = std::mem::take(&mut ctx.lists[lv]);
@@ -1890,20 +1974,52 @@ mod sanitize_tests {
         let (level, low, high) = (s.level(a), s.low(a), s.high(a));
         // Replay `mk`'s allocation tail without the lookup: a second
         // (level, low, high) node enters the table.
-        let idx = s.free_head;
-        s.free_head = s.nodes[idx as usize].next;
-        s.free_count -= 1;
         let slot = hash3(level, low, high) & s.bucket_mask;
-        s.nodes[idx as usize] = Node {
+        let idx = s.alloc_slot(Node {
             level,
             low,
             high,
             refcount: 0,
             next: s.buckets[slot],
-        };
+        });
         s.buckets[slot] = idx;
         let err = s.check_invariants().unwrap_err();
         assert!(err.contains("duplicate unique-table node"), "{err}");
+    }
+
+    #[test]
+    fn index_past_the_used_prefix_is_caught() {
+        // Slots past the used prefix were never written: any index that
+        // reaches one — a bucket head, a child, a free-list link or a cache
+        // entry — points at reserved but meaningless memory.
+        fn past(s: &Store) -> u32 {
+            s.nodes.len() as u32 + 5
+        }
+        let plants: [fn(&mut Store, u32, u32); 4] = [
+            |s, _, _| {
+                let b = s.buckets.iter().position(|&h| h == NIL).unwrap();
+                s.buckets[b] = past(s);
+            },
+            |s, a, _| s.nodes[a as usize].low = past(s),
+            |s, _, _| {
+                s.free_head = past(s);
+                s.free_count = 1;
+            },
+            |s, a, b| {
+                let p = past(s);
+                s.client_put(a, b, 7, p);
+            },
+        ];
+        for plant in plants {
+            let (mut s, a, b) = store_with_chain();
+            assert!(past(&s) < s.capacity as u32, "index inside the reservation");
+            plant(&mut s, a, b);
+            let err = s.check_invariants().unwrap_err();
+            assert!(
+                err.contains(&format!("{} ", past(&s))) && err.contains("past the used prefix"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

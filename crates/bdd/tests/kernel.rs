@@ -277,6 +277,24 @@ fn adder_zero_offset_is_equality() {
 }
 
 #[test]
+fn adder_constant_at_or_past_the_width_is_empty() {
+    // Every `x + c` with `c >= 2^bits` overflows the 4-bit domain, so no
+    // pair survives — the high bits of `c` must not be dropped (`c = 16`
+    // is not the identity, `c = 17` is not `y = x + 1`).
+    let m = BddManager::with_domains(
+        &[DomainSpec::new("X", 16), DomainSpec::new("Y", 16)],
+        &OrderSpec::parse("XxY").unwrap(),
+    )
+    .unwrap();
+    let x = m.domain("X").unwrap();
+    let y = m.domain("Y").unwrap();
+    for c in [16, 17, 31, 1 << 40, u64::MAX] {
+        assert!(m.domain_add_const(x, y, c).is_zero(), "c = {c}");
+    }
+    assert_eq!(m.domain_add_const(x, y, 15).satcount_domains(&[x, y]), 1.0);
+}
+
+#[test]
 fn adder_is_o_bits_sized() {
     let m = BddManager::with_domains(
         &[DomainSpec::new("X", 1 << 30), DomainSpec::new("Y", 1 << 30)],

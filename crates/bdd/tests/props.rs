@@ -323,32 +323,231 @@ fn domain_range_count() {
     });
 }
 
+/// One adder check: a width, a layout of the two domains, whether the
+/// order is torn and re-sifted before the adder is built, and a constant
+/// (a quarter of the cases at or past `2^bits`, where nothing survives).
+#[derive(Debug, Clone)]
+struct AdderCase {
+    bits: u32,
+    layout: &'static str,
+    sift_after_swap: Option<u32>,
+    c: u64,
+}
+
+fn arb_adder_case() -> Gen<AdderCase> {
+    Gen::new(|rng| {
+        let bits = rng.gen_range(1..13u32);
+        let width = 1u64 << bits;
+        AdderCase {
+            bits,
+            layout: ["XxY", "YxX", "X_Y", "Y_X"][rng.below(4) as usize],
+            sift_after_swap: rng.gen_bool(0.3).then(|| rng.gen_range(0..2 * bits - 1)),
+            c: match rng.gen_range(0..8u32) {
+                0 => width + rng.below(width),
+                1 => rng.next_u64() | width,
+                _ => rng.below(width),
+            },
+        }
+    })
+}
+
 #[test]
 fn domain_adder_matches_arithmetic() {
-    let gen = pair_of(ranged_u64(0, 200), ranged_u64(2, 300));
     check(
         "domain_adder_matches_arithmetic",
         CASES,
-        &gen,
-        |&(c, size)| {
+        &arb_adder_case(),
+        |case| {
+            let width = 1u64 << case.bits;
             let m = BddManager::with_domains(
-                &[DomainSpec::new("X", 1024), DomainSpec::new("Y", 1024)],
-                &OrderSpec::parse("XxY").unwrap(),
+                &[DomainSpec::new("X", width), DomainSpec::new("Y", width)],
+                &OrderSpec::parse(case.layout).unwrap(),
             )
             .unwrap();
             let x = m.domain("X").unwrap();
             let y = m.domain("Y").unwrap();
-            let rel = m
-                .domain_add_const(x, y, c)
-                .and(&m.domain_range(x, 0, size - 1));
-            let mut pairs = Vec::new();
-            rel.for_each_tuple(&[x, y], |t| pairs.push((t[0], t[1])));
+            // A raw swap tears the layout's blocks, so the sift that
+            // follows moves single variables into an arbitrary order; the
+            // live equality relation gives it something to optimize.
+            let _held = m.domain_eq(x, y);
+            if let Some(level) = case.sift_after_swap {
+                m.swap_adjacent_levels(level);
+                m.reorder_sift();
+            }
+            let mut pairs = m.domain_add_const(x, y, case.c).tuples(&[x, y]);
             pairs.sort_unstable();
-            let expected: Vec<(u64, u64)> = (0..size)
-                .filter(|v| v + c < 1024)
-                .map(|v| (v, v + c))
+            let expected: Vec<Vec<u64>> = (0..width)
+                .filter_map(|v| {
+                    v.checked_add(case.c)
+                        .filter(|&w| w < width)
+                        .map(|w| vec![v, w])
+                })
                 .collect();
             eq_or(pairs, expected, "adder tuples")
         },
     );
+}
+
+/// One tuple-builder check: domain sizes (the attributes), the variable
+/// order, whether the order is torn and re-sifted before the build, and
+/// the tuples, duplicates included.
+#[derive(Debug, Clone)]
+struct TupleCase {
+    sizes: Vec<u64>,
+    order: Vec<Vec<String>>,
+    sift_after_swap: Option<u32>,
+    tuples: Vec<Vec<u64>>,
+}
+
+/// Domain names of a [`TupleCase`]: the attributes plus one unrelated
+/// domain, so the relation's variables are not contiguous in the order.
+fn tuple_case_names(arity: usize) -> Vec<String> {
+    (0..arity)
+        .map(|i| format!("D{i}"))
+        .chain(["E".to_string()])
+        .collect()
+}
+
+fn arb_tuple_case() -> Gen<TupleCase> {
+    Gen::new(|rng| {
+        let arity = rng.gen_range(1..5usize);
+        // A few cases use 63- and 64-bit domains: keys past 128 bits.
+        let wide = rng.gen_bool(0.15);
+        let sizes: Vec<u64> = (0..arity)
+            .map(|_| {
+                if wide {
+                    *rng.choose(&[1u64 << 63, u64::MAX])
+                } else {
+                    1 + rng.below(300)
+                }
+            })
+            .collect();
+        let mut names = tuple_case_names(arity);
+        rng.shuffle(&mut names);
+        let mut order: Vec<Vec<String>> = Vec::new();
+        for name in names {
+            match order.last_mut() {
+                Some(group) if rng.gen_bool(0.4) => group.push(name),
+                _ => order.push(vec![name]),
+            }
+        }
+        let varcount: u64 = sizes.iter().map(|&s| bits(s)).sum::<u64>() + bits(50);
+        // Wide cases stay small: single-variable sifting over a few hundred
+        // variables, and the reference's per-bit minterms, are slow.
+        let sift_after_swap = (!wide && rng.gen_bool(0.3)).then(|| rng.below(varcount - 1) as u32);
+        let count = match (rng.gen_bool(0.1), wide) {
+            (true, _) => 0,
+            (false, true) => rng.below(40),
+            (false, false) => rng.below(400),
+        };
+        let mut tuples: Vec<Vec<u64>> = Vec::new();
+        for _ in 0..count {
+            if !tuples.is_empty() && rng.gen_bool(0.2) {
+                let dup = rng.choose(&tuples).clone();
+                tuples.push(dup);
+            } else {
+                tuples.push(sizes.iter().map(|&s| rng.below(s)).collect());
+            }
+        }
+        TupleCase {
+            sizes,
+            order,
+            sift_after_swap,
+            tuples,
+        }
+    })
+}
+
+/// Bits of a domain of `size` values.
+fn bits(size: u64) -> u64 {
+    u64::from(64 - (size.max(2) - 1).leading_zeros())
+}
+
+/// Checks `tuple_set` against a minterm-per-tuple OR. The manager starts
+/// at the 4k-slot minimum and `tuple_set` runs first on a nearly empty
+/// table, so the larger cases collect and grow the table in the middle of
+/// the build. Returns whether that happened.
+fn tuple_set_matches_reference(case: &TupleCase) -> Result<bool, String> {
+    let names = tuple_case_names(case.sizes.len());
+    let specs: Vec<DomainSpec> = names
+        .iter()
+        .zip(case.sizes.iter().chain([&50]))
+        .map(|(n, &size)| DomainSpec::new(n.as_str(), size))
+        .collect();
+    let m = BddManager::with_domains_and_capacity(
+        &specs,
+        &OrderSpec::from_groups(case.order.clone()),
+        1 << 12,
+    )
+    .unwrap();
+    let doms: Vec<_> = names[..case.sizes.len()]
+        .iter()
+        .map(|n| m.domain(n).unwrap())
+        .collect();
+    let reference = |tuples: &[Vec<u64>]| {
+        let mut acc = m.zero();
+        for t in tuples {
+            let mut minterm = m.one();
+            for (&v, &d) in t.iter().zip(&doms) {
+                minterm = minterm.and(&m.domain_const(d, v));
+            }
+            acc = acc.or(&minterm);
+        }
+        acc
+    };
+    // The sift needs live nodes to weigh: a few of the tuples.
+    let _held = case.sift_after_swap.map(|level| {
+        let held = reference(&case.tuples[..case.tuples.len().min(20)]);
+        m.swap_adjacent_levels(level);
+        m.reorder_sift();
+        held
+    });
+    let before = m.stats();
+    let built = m.tuple_set(&doms, &case.tuples);
+    let after = m.stats();
+    eq_or(
+        built == reference(&case.tuples),
+        true,
+        "tuple_set equals the minterm OR",
+    )?;
+    let mut distinct = case.tuples.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    eq_or(
+        built.satcount_domains_exact(&doms),
+        distinct.len() as u128,
+        "tuple count",
+    )?;
+    Ok(after.gc_runs > before.gc_runs && after.allocated_nodes > before.allocated_nodes)
+}
+
+#[test]
+fn tuple_set_matches_minterm_reference() {
+    // One fixed relation past 128 key bits: three 63-bit attributes.
+    let wide = TupleCase {
+        sizes: vec![1 << 63; 3],
+        order: vec![
+            vec!["D2".into(), "E".into()],
+            vec!["D0".into()],
+            vec!["D1".into()],
+        ],
+        sift_after_swap: None,
+        tuples: vec![
+            vec![0, 1 << 62, 12345],
+            vec![(1 << 63) - 1, 7, 0],
+            vec![0, 1 << 62, 12345],
+        ],
+    };
+    tuple_set_matches_reference(&wide).unwrap();
+    let grown = std::cell::Cell::new(0);
+    check(
+        "tuple_set_matches_minterm_reference",
+        CASES,
+        &arb_tuple_case(),
+        |case| {
+            grown.set(grown.get() + u32::from(tuple_set_matches_reference(case)?));
+            Ok(())
+        },
+    );
+    assert!(grown.get() > 0, "no build collected and grew the table");
 }

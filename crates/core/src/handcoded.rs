@@ -81,51 +81,22 @@ pub fn context_insensitive_handcoded(facts: &Facts) -> Result<Handcoded, BddErro
     let (m0, i0, v0, v1) = (dom("M0"), dom("I0"), dom("V0"), dom("V1"));
     let (f0, h0, h1) = (dom("F0"), dom("H0"), dom("H1"));
 
-    // Relation loading: tuple -> minterm, balanced OR.
-    let load_rel = |doms: &[DomainId], tuples: &[Vec<u64>]| -> Bdd {
-        let mut layer: Vec<Bdd> = tuples
-            .iter()
-            .map(|t| {
-                let mut b = mgr.one();
-                for (d, &val) in doms.iter().zip(t.iter()) {
-                    b = b.and(&mgr.domain_const(*d, val));
-                }
-                b
-            })
-            .collect();
-        while layer.len() > 1 {
-            layer = layer
-                .chunks(2)
-                .map(|c| {
-                    if c.len() == 2 {
-                        c[0].or(&c[1])
-                    } else {
-                        c[0].clone()
-                    }
-                })
-                .collect();
-        }
-        layer.pop().unwrap_or_else(|| mgr.zero())
-    };
-    let tup = |rows: &[[u64; 2]]| rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>();
-    let tup3 = |rows: &[[u64; 3]]| rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>();
-
-    let vp0 = load_rel(&[v0, h0], &tup(&facts.vp0));
-    let store = load_rel(&[v0, f0, v1], &tup3(&facts.store));
-    let load_ = load_rel(&[v0, f0, v1], &tup3(&facts.load));
-    let assign0 = load_rel(&[v0, v1], &tup(&facts.assign));
-    let vt = load_rel(&[v0, t0], &tup(&facts.vt));
-    let mut ht_rows = tup(&facts.ht);
-    ht_rows.push(vec![s.h, 0]); // the synthetic global object, typed Object
-    let ht_t1 = load_rel(&[h0, t1], &ht_rows); // hT with the type on T1
-    let at = load_rel(&[t0, t1], &tup(&facts.at)); // aT(super:T0, sub:T1)
-    let cha = load_rel(&[t0, n0, m0], &tup3(&facts.cha));
-    let actual = load_rel(&[i0, z0, v0], &tup3(&facts.actual));
-    let formal = load_rel(&[m0, z0, v0], &tup3(&facts.formal));
-    let ie0 = load_rel(&[i0, m0], &tup(&facts.ie0));
-    let mi = load_rel(&[m0, i0, n0], &tup3(&facts.mi));
-    let mret = load_rel(&[m0, v0], &tup(&facts.mret));
-    let iret = load_rel(&[i0, v0], &tup(&facts.iret));
+    let vp0 = mgr.tuple_set(&[v0, h0], &facts.vp0);
+    let store = mgr.tuple_set(&[v0, f0, v1], &facts.store);
+    let load_ = mgr.tuple_set(&[v0, f0, v1], &facts.load);
+    let assign0 = mgr.tuple_set(&[v0, v1], &facts.assign);
+    let vt = mgr.tuple_set(&[v0, t0], &facts.vt);
+    let mut ht_rows = facts.ht.clone();
+    ht_rows.push([s.h, 0]); // the synthetic global object, typed Object
+    let ht_t1 = mgr.tuple_set(&[h0, t1], &ht_rows); // hT with the type on T1
+    let at = mgr.tuple_set(&[t0, t1], &facts.at); // aT(super:T0, sub:T1)
+    let cha = mgr.tuple_set(&[t0, n0, m0], &facts.cha);
+    let actual = mgr.tuple_set(&[i0, z0, v0], &facts.actual);
+    let formal = mgr.tuple_set(&[m0, z0, v0], &facts.formal);
+    let ie0 = mgr.tuple_set(&[i0, m0], &facts.ie0);
+    let mi = mgr.tuple_set(&[m0, i0, n0], &facts.mi);
+    let mret = mgr.tuple_set(&[m0, v0], &facts.mret);
+    let iret = mgr.tuple_set(&[i0, v0], &facts.iret);
 
     // vPfilter(v, h) = ∃ t0 t1. vT(v,t0) ∧ aT(t0,t1) ∧ hT(h,t1)
     let vpfilter = vt

@@ -454,30 +454,6 @@ impl Engine {
             .map(String::as_str)
     }
 
-    fn minterm(&self, rel_ix: usize, tuple: &[u64]) -> Result<Bdd, DatalogError> {
-        let decl = &self.program.relations[rel_ix];
-        if tuple.len() != decl.attrs.len() {
-            return Err(DatalogError::BadFact(format!(
-                "relation `{}` expects {} values, got {}",
-                decl.name,
-                decl.attrs.len(),
-                tuple.len()
-            )));
-        }
-        let mut b = self.mgr.one();
-        for (i, &v) in tuple.iter().enumerate() {
-            let dom = self.program.domain_ix[&decl.attrs[i].1];
-            if v >= self.program.domains[dom].size {
-                return Err(DatalogError::ConstantOutOfRange {
-                    domain: decl.attrs[i].1.clone(),
-                    value: v,
-                });
-            }
-            b = b.and(&self.mgr.domain_const(self.rel[rel_ix].attr_phys[i], v));
-        }
-        Ok(b)
-    }
-
     /// Adds one tuple to an `input` relation.
     ///
     /// After a solve, additions are tracked as pending deltas:
@@ -490,7 +466,7 @@ impl Engine {
     /// [`DatalogError::ConstantOutOfRange`] for out-of-domain values.
     pub fn add_fact(&mut self, name: &str, tuple: &[u64]) -> Result<(), DatalogError> {
         let ix = self.input_ix(name)?;
-        let m = self.minterm(ix, tuple)?;
+        let m = self.tuple_set(ix, [tuple])?;
         self.apply_add(ix, &m);
         Ok(())
     }
@@ -542,44 +518,49 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// As [`Engine::add_fact`]; tuples before the failing one remain added.
+    /// As [`Engine::add_fact`], for the first bad tuple in the list; the
+    /// engine is then left unchanged.
     pub fn add_facts<I, T>(&mut self, name: &str, tuples: I) -> Result<(), DatalogError>
     where
         I: IntoIterator<Item = T>,
         T: AsRef<[u64]>,
     {
         let ix = self.input_ix(name)?;
-        if let Some(b) = self.tuple_set(ix, tuples)? {
-            self.apply_add(ix, &b);
-        }
+        let b = self.tuple_set(ix, tuples)?;
+        self.apply_add(ix, &b);
         Ok(())
     }
 
-    /// Builds the BDD of a tuple list by balanced OR reduction, which
-    /// keeps intermediate BDDs small when loading large fact sets.
-    /// `None` for an empty list.
-    fn tuple_set<I, T>(&self, ix: usize, tuples: I) -> Result<Option<Bdd>, DatalogError>
+    /// Validates a tuple list against relation `ix` — arity, then each
+    /// value's domain, reporting the first offender — and builds its BDD
+    /// with [`BddManager::tuple_set`].
+    fn tuple_set<I, T>(&self, ix: usize, tuples: I) -> Result<Bdd, DatalogError>
     where
         I: IntoIterator<Item = T>,
         T: AsRef<[u64]>,
     {
-        let mut layer: Vec<Bdd> = Vec::new();
-        for t in tuples {
-            layer.push(self.minterm(ix, t.as_ref())?);
+        let decl = &self.program.relations[ix];
+        let tuples: Vec<T> = tuples.into_iter().collect();
+        for t in &tuples {
+            let t = t.as_ref();
+            if t.len() != decl.attrs.len() {
+                return Err(DatalogError::BadFact(format!(
+                    "relation `{}` expects {} values, got {}",
+                    decl.name,
+                    decl.attrs.len(),
+                    t.len()
+                )));
+            }
+            for (&v, (_, dom)) in t.iter().zip(&decl.attrs) {
+                if v >= self.program.domains[self.program.domain_ix[dom]].size {
+                    return Err(DatalogError::ConstantOutOfRange {
+                        domain: dom.clone(),
+                        value: v,
+                    });
+                }
+            }
         }
-        while layer.len() > 1 {
-            layer = layer
-                .chunks(2)
-                .map(|c| {
-                    if c.len() == 2 {
-                        c[0].or(&c[1])
-                    } else {
-                        c[0].clone()
-                    }
-                })
-                .collect();
-        }
-        Ok(layer.pop())
+        Ok(self.mgr.tuple_set(&self.rel[ix].attr_phys, &tuples))
     }
 
     /// Removes tuples from an `input` relation's base facts. Tuples not
@@ -599,9 +580,7 @@ impl Engine {
         T: AsRef<[u64]>,
     {
         let ix = self.input_ix(name)?;
-        let Some(victims) = self.tuple_set(ix, tuples)? else {
-            return Ok(());
-        };
+        let victims = self.tuple_set(ix, tuples)?;
         let present = victims.and(&self.rel[ix].base);
         if present.is_zero() {
             return Ok(());
@@ -820,7 +799,7 @@ impl Engine {
     /// As [`Engine::add_fact`] minus the input-kind restriction.
     pub fn relation_contains(&self, name: &str, tuple: &[u64]) -> Result<bool, DatalogError> {
         let ix = self.rel_ix(name)?;
-        let m = self.minterm(ix, tuple)?;
+        let m = self.tuple_set(ix, [tuple])?;
         Ok(!self.rel[ix].bdd.and(&m).is_zero())
     }
 

@@ -743,3 +743,49 @@ unreached(x) :- node(x), !reach(x).
     assert_eq!(results[0], results[1]);
     assert_eq!(results[0], vec![vec![0], vec![3], vec![4]]);
 }
+
+#[test]
+fn bad_tuple_mid_list_leaves_the_engine_unchanged() {
+    let mut e = solve(TC, &[("edge", &[0, 1]), ("edge", &[1, 2])]);
+    let hash = e.fact_stream_hash();
+    let edges = e.relation_tuples("edge").unwrap();
+    let paths = e.relation_tuples("path").unwrap();
+
+    // The first offender is reported, whether it comes before or after
+    // other kinds of bad tuple, and nothing of the list is applied.
+    let err = e
+        .add_facts("edge", [vec![2u64, 3], vec![3], vec![70, 5]])
+        .unwrap_err();
+    assert!(matches!(err, DatalogError::BadFact(_)), "{err}");
+    let err = e
+        .add_facts("edge", [vec![2u64, 3], vec![64, 1], vec![4]])
+        .unwrap_err();
+    assert!(
+        matches!(&err, DatalogError::ConstantOutOfRange { domain, value: 64 } if domain == "V"),
+        "{err}"
+    );
+    let err = e
+        .retract_facts("edge", [vec![0u64, 1], vec![1, 99], vec![1, 200]])
+        .unwrap_err();
+    assert!(
+        matches!(err, DatalogError::ConstantOutOfRange { value: 99, .. }),
+        "{err}"
+    );
+    let err = e
+        .retract_facts("edge", [vec![0u64, 1], vec![1, 2, 3]])
+        .unwrap_err();
+    assert!(matches!(err, DatalogError::BadFact(_)), "{err}");
+
+    assert_eq!(e.fact_stream_hash(), hash, "base facts unchanged");
+    assert!(!e.has_pending_deltas(), "no pending deltas");
+    assert_eq!(e.relation_tuples("edge").unwrap(), edges);
+    assert_eq!(e.relation_tuples("path").unwrap(), paths);
+
+    // The engine still takes good deltas and solves.
+    e.add_facts("edge", [[2u64, 3]]).unwrap();
+    e.retract_facts("edge", [[0u64, 1]]).unwrap();
+    e.solve_incremental().unwrap();
+    let mut got = e.relation_tuples("path").unwrap();
+    got.sort_unstable();
+    assert_eq!(got, vec![vec![1, 2], vec![1, 3], vec![2, 3]]);
+}

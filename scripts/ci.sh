@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 cargo build --release --workspace --offline
+# The benchmark is its own workspace with path dependencies on the repo
+# crates, so the workspace build above does not cover it: build it here so
+# a kernel API change that breaks it fails the verify.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --workspace --offline
 
 # Lint gate: warnings are errors across every target.
