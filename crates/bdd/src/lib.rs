@@ -51,20 +51,19 @@
 //! externally referenced nodes plus the kernel's internal recursion stack and
 //! runs only under allocation pressure.
 //!
-//! The operation caches are 4-way set-associative with round-robin eviction
-//! and generation-tagged entries: `clear` is an O(1) generation bump, and a
-//! GC that frees nodes *revalidates* surviving entries instead of discarding
-//! warm memoization state (a sweep that frees nothing leaves the caches
-//! untouched). Per-cache hit/miss/eviction counters are exposed as the
-//! [`CacheStats`]-typed fields `apply_cache`, `ite_cache`, `appex_cache`,
-//! `replace_cache` and `client_cache` of [`BddStats`].
+//! The operation caches are 4-way set-associative with one 64-byte cache
+//! line per set, so a lookup reads one line; a full set evicts its oldest
+//! insertion. They have fixed, table-proportional sizes, like BuDDy's: each
+//! starts at a fixed size and grows only when the node table grows. A GC
+//! that frees nodes *revalidates* the caches, dropping only entries that
+//! name a freed node instead of discarding warm memoization state (a sweep
+//! that frees nothing leaves the caches untouched). Per-cache
+//! hit/miss/eviction counters are exposed as the [`CacheStats`]-typed
+//! fields `apply_cache`, `ite_cache`, `appex_cache`, `replace_cache` and
+//! `client_cache` of [`BddStats`].
 //!
-//! Cache sizing is **pressure-adaptive** by default (see
-//! [`BddManagerOptions`]): each cache monitors its own eviction/miss ratio
-//! in fixed windows and doubles while the working set does not fit,
-//! independently of node-table growth, then shrinks back after a reordering
-//! pass collapses the table. A *client operation cache* with the same
-//! GC-safe lifecycle lets callers memoize whole derived operations —
+//! A *client operation cache* with the same GC-safe lifecycle lets callers
+//! memoize whole derived operations —
 //! [`BddManager::memo_get`]/[`BddManager::memo_put`] — which the Datalog
 //! engine uses to skip entire relation-level joins across fixpoint rounds.
 //!

@@ -7,7 +7,7 @@ use crate::domain::{
 };
 use crate::order::{assign_levels_grouped, OrderSpec, ReorderStats};
 use crate::sat::{decode_tuple, for_each_sat};
-use crate::store::{CachePolicy, Store, DEFAULT_MAX_GROWTH, NODE_BYTES, ONE, ZERO};
+use crate::store::{Store, DEFAULT_MAX_GROWTH, NODE_BYTES, ONE, ZERO};
 use crate::{BddError, Level};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -34,76 +34,24 @@ pub struct BddManager {
     store: Rc<RefCell<Store>>,
 }
 
-/// Construction-time options of a [`BddManager`], chiefly the operation
-/// cache sizing policy.
+/// Construction-time options of a [`BddManager`].
 ///
-/// By default the op caches are *pressure-adaptive*: each cache tracks its
-/// own eviction pressure in windows of `cache_adapt_window` misses and
-/// doubles (up to `1 << cache_max_log2` entries) whenever evictions account
-/// for at least `cache_grow_eviction_ratio` of a window's misses — the
-/// signature of a working set that does not fit. This decouples cache
-/// capacity from node-table growth, which is the only signal the
-/// table-proportional legacy policy (`adaptive_caches: false`) reacts to.
-///
-/// Growth is *feedback-gated*: eviction pressure alone cannot distinguish
-/// a too-small cache from a stream of first-time keys, so after each
-/// doubling the policy checks whether the window hit rate actually rose by
-/// `cache_grow_min_hit_gain`. If it did not, the evicted entries were
-/// never going to be re-requested — the misses are compulsory — and the
-/// cache stops growing until the next full clear.
-/// After a reordering pass that changed the order (which clears every
-/// cache anyway), caches shrink back to a live-node-proportional size when
-/// `cache_shrink_after_reorder` is set, releasing adaptively grown memory
-/// whose working set the reorder just collapsed.
+/// The operation caches need no options: each starts at a fixed size
+/// (2^16 apply, 2^14 ite, 2^16 exist/relprod, 2^15 replace and 2^12 client
+/// entries) and grows only with the node table, in proportion to it, up to
+/// 2^23 entries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BddManagerOptions {
     /// Initial node-table capacity hint (rounded up to a power of two, at
     /// least 2^12). Sizing the table for the expected workload avoids
     /// early grow-and-collect cycles.
     pub initial_capacity: usize,
-    /// Enable pressure-adaptive op-cache growth and post-reorder shrink.
-    pub adaptive_caches: bool,
-    /// Evictions/misses ratio within one pressure window at which a cache
-    /// doubles (clamped to `[0, 1]`).
-    pub cache_grow_eviction_ratio: f64,
-    /// Cache misses that close a pressure window and trigger one sizing
-    /// decision.
-    pub cache_adapt_window: u64,
-    /// Minimum absolute window-hit-rate improvement a doubling must
-    /// deliver; below it the cache is declared saturated and adaptive
-    /// growth stops (clamped to `[0, 1]`).
-    pub cache_grow_min_hit_gain: f64,
-    /// Hard cap on any op cache's log2 entry count (clamped to `[16, 26]`).
-    pub cache_max_log2: u32,
-    /// Shrink caches to live-node-proportional sizes after a reordering
-    /// pass that changed the order.
-    pub cache_shrink_after_reorder: bool,
 }
 
 impl Default for BddManagerOptions {
     fn default() -> Self {
         BddManagerOptions {
             initial_capacity: 1 << 14,
-            adaptive_caches: true,
-            cache_grow_eviction_ratio: 0.5,
-            cache_adapt_window: 1 << 13,
-            cache_grow_min_hit_gain: 0.01,
-            cache_max_log2: 23,
-            cache_shrink_after_reorder: true,
-        }
-    }
-}
-
-impl BddManagerOptions {
-    fn cache_policy(&self) -> CachePolicy {
-        CachePolicy {
-            adaptive: self.adaptive_caches,
-            grow_eviction_ratio: self.cache_grow_eviction_ratio.clamp(0.0, 1.0),
-            adapt_window: self.cache_adapt_window.max(1),
-            grow_min_hit_gain: self.cache_grow_min_hit_gain.clamp(0.0, 1.0),
-            max_log2: self.cache_max_log2.clamp(16, 26),
-            min_log2: 12,
-            shrink_after_reorder: self.cache_shrink_after_reorder,
         }
     }
 }
@@ -134,9 +82,8 @@ pub struct BddStats {
     /// Counters of the client operation cache
     /// ([`BddManager::memo_get`]/[`BddManager::memo_put`]).
     pub client_cache: CacheStats,
-    /// Bytes currently held by all operation caches (entry arrays plus
-    /// victim pointers). Unlike [`BddStats::peak_bytes`] this is a *current*
-    /// figure, so it drops when the post-reorder shrink releases memory.
+    /// Bytes currently held by all operation caches. The caches grow only
+    /// with the node table, so this never falls.
     pub cache_bytes: usize,
 }
 
@@ -157,8 +104,7 @@ impl BddManager {
 
     /// [`BddManager::with_vars`] with explicit [`BddManagerOptions`].
     pub fn with_vars_and_options(varcount: u32, opts: &BddManagerOptions) -> Self {
-        let mut store = Store::new(varcount, opts.initial_capacity);
-        store.policy = opts.cache_policy();
+        let store = Store::new(varcount, opts.initial_capacity);
         BddManager {
             store: Rc::new(RefCell::new(store)),
         }
@@ -181,8 +127,7 @@ impl BddManager {
 
     /// [`BddManager::with_domains`] with an initial node-table capacity
     /// hint (rounded up to a power of two). Sizing the table for the
-    /// expected workload avoids early grow-and-collect cycles, each of
-    /// which clears the operation caches.
+    /// expected workload avoids early grow-and-collect cycles.
     ///
     /// # Errors
     ///
@@ -194,13 +139,11 @@ impl BddManager {
     ) -> Result<Self, BddError> {
         let opts = BddManagerOptions {
             initial_capacity: capacity,
-            ..BddManagerOptions::default()
         };
         Self::with_domains_and_options(specs, order, &opts)
     }
 
-    /// [`BddManager::with_domains`] with explicit [`BddManagerOptions`]
-    /// (initial capacity and operation-cache sizing policy).
+    /// [`BddManager::with_domains`] with explicit [`BddManagerOptions`].
     ///
     /// # Errors
     ///
@@ -246,7 +189,6 @@ impl BddManager {
         let levels = assign_levels_grouped(&groups);
         let varcount: u32 = groups.iter().flatten().sum();
         let mut store = Store::new(varcount, opts.initial_capacity);
-        store.policy = opts.cache_policy();
         // Each ordering group is one sifting block: reordering moves whole
         // groups, so interleaved domains stay interleaved.
         let widths: Vec<u32> = groups.iter().map(|g| g.iter().sum()).collect();
@@ -620,8 +562,8 @@ impl BddManager {
     /// Memoizes `result` as the outcome of a client-defined operation `tag`
     /// applied to `a` (and optionally `b`) in the *client operation cache*
     /// — a whole-operation memo table sharing the kernel caches' lifecycle:
-    /// entries naming a node freed by GC go stale before the slot can be
-    /// reused, and a reordering pass that changes the order drops
+    /// entries naming a node freed by GC are dropped before the slot can
+    /// be reused, and a reordering pass that changes the order drops
     /// everything. A hit therefore always returns a live handle denoting
     /// the exact function that was stored.
     ///
@@ -642,9 +584,10 @@ impl BddManager {
         s.client_put(a.idx, b.map_or(NIL, |b| b.idx), tag, result.idx);
     }
 
-    /// Drops every memoized operation result (an O(1) generation bump per
-    /// cache). Useful for cold-cache benchmarking; never required for
-    /// correctness.
+    /// Drops every memoized operation result. This writes every cache
+    /// entry, so its cost is proportional to the cache sizes
+    /// ([`BddStats::cache_bytes`]). Useful for cold-cache benchmarking;
+    /// never required for correctness.
     pub fn clear_op_caches(&self) {
         self.store.borrow_mut().clear_caches();
     }
@@ -1142,7 +1085,7 @@ impl Bdd {
 
     /// Number of distinct internal nodes (the paper's measure of BDD size).
     pub fn node_count(&self) -> usize {
-        self.store.borrow().node_count(self.idx)
+        self.store.borrow_mut().node_count(self.idx)
     }
 
     /// The support: variables the function depends on, numerically
@@ -1157,21 +1100,12 @@ impl Bdd {
     /// the stable *variable* number, not the current level, so a dump is
     /// meaningful under any order.
     pub(crate) fn dump_nodes(&self) -> Vec<(u64, u32, u64, u64)> {
-        let s = self.store.borrow();
-        if self.idx <= 1 {
-            return Vec::new();
-        }
-        let mut visited = std::collections::HashSet::new();
-        let mut stack = vec![self.idx];
-        let mut out = Vec::new();
-        while let Some(u) = stack.pop() {
-            if u <= 1 || !visited.insert(u) {
-                continue;
-            }
-            out.push((u as u64, s.level(u), s.low(u) as u64, s.high(u) as u64));
-            stack.push(s.low(u));
-            stack.push(s.high(u));
-        }
+        let mut s = self.store.borrow_mut();
+        let mut out: Vec<_> = s
+            .reachable(self.idx)
+            .into_iter()
+            .map(|u| (u as u64, s.level(u), s.low(u) as u64, s.high(u) as u64))
+            .collect();
         out.sort_by_key(|n| std::cmp::Reverse(n.1));
         out.iter()
             .map(|&(id, lvl, lo, hi)| (id, s.order.var_at(lvl), lo, hi))

@@ -71,45 +71,8 @@ impl Op {
 
 const NOT_TAG: u32 = 5;
 
-/// Resolved cache-sizing policy of one store (derived from
-/// [`crate::BddManagerOptions`]). With `adaptive` off, caches grow only
-/// from [`Store::grow`] at the historical table-proportional sizes; with it
-/// on, each cache additionally grows on its own eviction pressure and
-/// shrinks back after a reordering pass collapses the table.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CachePolicy {
-    pub(crate) adaptive: bool,
-    /// Evictions/misses ratio (within one pressure window) above which a
-    /// cache doubles.
-    pub(crate) grow_eviction_ratio: f64,
-    /// Misses that close a pressure window and trigger a sizing decision.
-    pub(crate) adapt_window: u64,
-    /// Minimum window-hit-rate improvement a doubling must deliver; below
-    /// it the cache is declared saturated (misses are compulsory) and
-    /// growth stops until the next full cache clear.
-    pub(crate) grow_min_hit_gain: f64,
-    /// Hard cap on any cache's log2 entry count.
-    pub(crate) max_log2: u32,
-    /// Floor on any cache's log2 entry count (shrink never goes below).
-    pub(crate) min_log2: u32,
-    /// Shrink caches back to table-proportional sizes after a sifting pass
-    /// that moved anything (the caches were just cleared, so this is free).
-    pub(crate) shrink_after_reorder: bool,
-}
-
-impl Default for CachePolicy {
-    fn default() -> Self {
-        CachePolicy {
-            adaptive: true,
-            grow_eviction_ratio: 0.5,
-            adapt_window: 1 << 13,
-            grow_min_hit_gain: 0.01,
-            max_log2: 23,
-            min_log2: 12,
-            shrink_after_reorder: true,
-        }
-    }
-}
+/// Cap on any op cache's log2 entry count under table-proportional growth.
+const CACHE_MAX_LOG2: u32 = 23;
 
 /// Sequence-tag space of the `appex_cache`: `exist` uses `varset_id * 2`,
 /// `relprod` uses `varset_id * 2 + 1`, and the fused replace+relprod kernel
@@ -125,6 +88,8 @@ pub(crate) struct Store {
     /// Logical node-table size: the number of slots `mk` may use before it
     /// has to collect.
     pub(crate) capacity: usize,
+    /// Visited flags of the GC mark phase and of [`Store::reachable`]'s
+    /// walks; all clear between them.
     marks: Vec<bool>,
     buckets: Vec<u32>,
     bucket_mask: usize,
@@ -143,8 +108,6 @@ pub(crate) struct Store {
     /// caches' lifecycle — revalidated after GC, cleared by reordering —
     /// so a warm entry always names live nodes.
     client_cache: Cache,
-    /// Cache-sizing policy (see [`CachePolicy`]).
-    pub(crate) policy: CachePolicy,
     /// Registered quantification variable sets: stable ids let the
     /// exist/relprod caches persist across calls (BuDDy's varset scheme).
     varset_ids: HashMap<Vec<Level>, u32>,
@@ -262,15 +225,11 @@ impl Store {
             free_count: 0,
             varcount,
             refstack: Vec::with_capacity(1024),
-            // The apply cache is the one with measured capacity misses
-            // (~35% hit rate), so it evicts by generation age; the others
-            // are compulsory-miss dominated and keep round-robin.
-            apply_cache: Cache::new_aged(16),
+            apply_cache: Cache::new(16),
             ite_cache: Cache::new(14),
             appex_cache: Cache::new(16),
             replace_cache: Cache::new(15),
             client_cache: Cache::new(12),
-            policy: CachePolicy::default(),
             varset_ids: HashMap::new(),
             perm_ids: HashMap::new(),
             fused_ids: HashMap::new(),
@@ -481,11 +440,10 @@ impl Store {
         }
         let freed = live_before - self.live_count();
         if freed > 0 {
-            // Generation-tagged invalidation: entries whose operands and
-            // result all survived are re-tagged and stay warm; everything
-            // else goes stale before its node slots can be reallocated. A
-            // sweep that freed nothing leaves the caches untouched — every
-            // memoized result is still valid.
+            // Entries whose operands and result all survived stay warm;
+            // everything else is dropped before its node slots can be
+            // reallocated. A sweep that freed nothing leaves the caches
+            // untouched — every memoized result is still valid.
             self.revalidate_caches();
         }
         self.gc_runs += 1;
@@ -496,7 +454,7 @@ impl Store {
         }
     }
 
-    /// Re-tags the operation caches after a node-freeing sweep. Freed
+    /// Revalidates the operation caches after a node-freeing sweep. Freed
     /// slots are reset to `FREE_NODE` (whose `low` is `NIL`), which is the
     /// liveness test.
     fn revalidate_caches(&mut self) {
@@ -513,7 +471,7 @@ impl Store {
         self.client_cache.revalidate(live, true, false);
     }
 
-    /// Drops every memoized operation result (O(1) generation bumps).
+    /// Drops every memoized operation result (a fill of every cache).
     pub(crate) fn clear_caches(&mut self) {
         for c in [
             &mut self.apply_cache,
@@ -523,9 +481,6 @@ impl Store {
             &mut self.client_cache,
         ] {
             c.clear();
-            // All memoized state is gone: the adaptive policy's saturation
-            // verdict no longer describes the upcoming miss stream.
-            c.reset_adapt();
         }
     }
 
@@ -566,13 +521,12 @@ impl Store {
         self.client_cache.put(a, b, tag, res);
     }
 
-    // ----- adaptive cache sizing -------------------------------------------
+    // ----- public-operation entry -------------------------------------------
 
-    /// Public-operation entry hook: fires a pending automatic reorder and
-    /// lets the adaptive policy inspect each cache's eviction pressure.
-    /// Both actions are only safe here, where the refstack is empty. With
-    /// the sanitizer enabled, every `SANITIZE_STRIDE`th entry also audits
-    /// the full table and caches.
+    /// Public-operation entry hook: fires a pending automatic reorder,
+    /// which is only safe here, where the refstack is empty. With the
+    /// sanitizer enabled, every `SANITIZE_STRIDE`th entry also audits the
+    /// full table and caches.
     pub(crate) fn enter_public_op(&mut self) {
         if self.sanitize {
             self.sanitize_ops = self.sanitize_ops.wrapping_add(1);
@@ -581,9 +535,6 @@ impl Store {
             }
         }
         self.maybe_auto_reorder();
-        if self.policy.adaptive {
-            self.adapt_caches();
-        }
     }
 
     /// Runs [`Store::check_invariants`] and panics on any violation —
@@ -610,7 +561,10 @@ impl Store {
     ///   and every slot on it is actually free (`low == NIL`);
     /// * every valid entry of the five operation caches names only live
     ///   nodes, under each cache's key layout (see
-    ///   [`Store::revalidate_caches`]).
+    ///   [`Store::revalidate_caches`]);
+    /// * no node carries a mark: marks are set only inside a collection or
+    ///   a [`Store::reachable`] walk, and a leaked one would keep a dead
+    ///   node alive at the next collection.
     ///
     /// Read-only and `O(nodes + cache entries)`.
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
@@ -623,6 +577,11 @@ impl Store {
                     node.level, node.low, node.high
                 ));
             }
+        }
+        if let Some(i) = self.marks.iter().position(|&m| m) {
+            return Err(format!(
+                "node {i} carries a stray mark outside GC: the next collection would keep it alive"
+            ));
         }
         let live = |x: u32| x <= ONE || self.nodes[x as usize].low != NIL;
         let past = |x: u32| x != NIL && x as usize >= n;
@@ -758,62 +717,6 @@ impl Store {
         Ok(())
     }
 
-    /// One adaptive-sizing decision per cache whose pressure window has
-    /// closed — see [`Cache::adapt`] for the grow/saturate rules.
-    fn adapt_caches(&mut self) {
-        let p = self.policy;
-        for c in [
-            &mut self.apply_cache,
-            &mut self.ite_cache,
-            &mut self.appex_cache,
-            &mut self.replace_cache,
-            &mut self.client_cache,
-        ] {
-            c.adapt(
-                p.adapt_window,
-                p.grow_eviction_ratio,
-                p.grow_min_hit_gain,
-                p.max_log2,
-            );
-        }
-    }
-
-    /// Shrinks every cache back to a live-node-proportional size. Called
-    /// right after a reordering pass cleared the caches (so no entries need
-    /// rehashing and the resize is a pure reallocation), undoing adaptive
-    /// growth whose working set the reorder just collapsed.
-    fn shrink_caches_to_live(&mut self) {
-        let p = self.policy;
-        let live = self.live_count().max(1);
-        let base = (live.next_power_of_two().trailing_zeros() + 1).clamp(p.min_log2, p.max_log2);
-        let floor = |x: u32| x.max(p.min_log2);
-        self.apply_cache
-            .resize(self.apply_cache.log2_size().min(base));
-        self.appex_cache
-            .resize(self.appex_cache.log2_size().min(base));
-        self.ite_cache.resize(
-            self.ite_cache
-                .log2_size()
-                .min(floor(base.saturating_sub(2))),
-        );
-        self.replace_cache.resize(
-            self.replace_cache
-                .log2_size()
-                .min(floor(base.saturating_sub(1))),
-        );
-        self.client_cache
-            .resize(self.client_cache.log2_size().min(base));
-        for c in [
-            &mut self.apply_cache,
-            &mut self.ite_cache,
-            &mut self.appex_cache,
-            &mut self.replace_cache,
-            &mut self.client_cache,
-        ] {
-            c.end_window();
-        }
-    }
-
     fn mark(&mut self, f: u32) {
         if self.is_term(f) || self.marks[f as usize] {
             return;
@@ -838,11 +741,8 @@ impl Store {
         let new_len = old_len * 2;
         // Keep the operation caches proportioned to the table: a cache much
         // smaller than the working set thrashes and destroys the
-        // memoization BDD algorithms depend on. Never shrink here — a cache
-        // the adaptive policy grew past the table-proportional size is
-        // sized to measured pressure, not table occupancy.
-        let max_log2 = self.policy.max_log2;
-        let target: u32 = (new_len.clamp(1 << 16, 1usize << max_log2) as u64).ilog2();
+        // memoization BDD algorithms depend on. Never shrink here.
+        let target: u32 = (new_len.clamp(1 << 16, 1usize << CACHE_MAX_LOG2) as u64).ilog2();
         self.apply_cache
             .resize(target.max(self.apply_cache.log2_size()));
         self.appex_cache
@@ -1415,38 +1315,43 @@ impl Store {
 
     // ----- structural queries --------------------------------------------------
 
+    /// Every internal node reachable from `f`, each once, in depth-first
+    /// order (high child first). The walk flags visited nodes in `marks`
+    /// and clears them before returning, so it hashes nothing.
+    pub(crate) fn reachable(&mut self, f: u32) -> Vec<u32> {
+        if self.marks.len() < self.nodes.len() {
+            self.marks.resize(self.nodes.len(), false);
+        }
+        let mut out = Vec::new();
+        let mut stack = vec![f];
+        while let Some(u) = stack.pop() {
+            if self.is_term(u) || self.marks[u as usize] {
+                continue;
+            }
+            self.marks[u as usize] = true;
+            out.push(u);
+            let n = &self.nodes[u as usize];
+            stack.push(n.low);
+            stack.push(n.high);
+        }
+        for &u in &out {
+            self.marks[u as usize] = false;
+        }
+        out
+    }
+
     /// Returns the support of `f` as a sorted list of variables.
     pub(crate) fn support(&mut self, f: u32) -> Vec<Level> {
         let mut seen = vec![false; self.varcount as usize];
-        let mut visited = std::collections::HashSet::new();
-        let mut stack = vec![f];
-        while let Some(u) = stack.pop() {
-            if self.is_term(u) || !visited.insert(u) {
-                continue;
-            }
-            let n = &self.nodes[u as usize];
-            seen[self.order.var_at(n.level) as usize] = true;
-            stack.push(n.low);
-            stack.push(n.high);
+        for u in self.reachable(f) {
+            seen[self.order.var_at(self.nodes[u as usize].level) as usize] = true;
         }
         (0..self.varcount).filter(|&v| seen[v as usize]).collect()
     }
 
     /// Number of distinct internal nodes in `f` (excluding terminals).
-    pub(crate) fn node_count(&self, f: u32) -> usize {
-        let mut visited = std::collections::HashSet::new();
-        let mut stack = vec![f];
-        let mut count = 0usize;
-        while let Some(u) = stack.pop() {
-            if self.is_term(u) || !visited.insert(u) {
-                continue;
-            }
-            count += 1;
-            let n = &self.nodes[u as usize];
-            stack.push(n.low);
-            stack.push(n.high);
-        }
-        count
+    pub(crate) fn node_count(&mut self, f: u32) -> usize {
+        self.reachable(f).len()
     }
 
     /// Exact number of satisfying assignments restricted to the variables
@@ -1909,11 +1814,6 @@ impl Store {
         if stats.swaps > 0 {
             // Entries may name nodes freed during the pass.
             self.clear_caches();
-            if self.policy.adaptive && self.policy.shrink_after_reorder {
-                // The pass may have collapsed the working set by an order
-                // of magnitude; release adaptively grown cache memory.
-                self.shrink_caches_to_live();
-            }
         }
         if self.sanitize {
             self.sanitize_check("after reorder");
@@ -2066,6 +1966,19 @@ mod sanitize_tests {
         s.free_count += 1;
         let err = s.check_invariants().unwrap_err();
         assert!(err.contains("free list holds"), "{err}");
+    }
+
+    #[test]
+    fn stray_mark_is_caught() {
+        let (mut s, a, b) = store_with_chain();
+        assert_eq!(s.node_count(b), 2, "the walk leaves no mark behind");
+        assert_eq!(s.check_invariants(), Ok(()));
+        s.marks[a as usize] = true;
+        let err = s.check_invariants().unwrap_err();
+        assert!(
+            err.contains(&format!("node {a} carries a stray mark")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -52,8 +52,8 @@ fn main() {
     // join variable, so the composed variant materializes a full renamed
     // BDD the join then mostly discards. The A→B, B→C shift is monotone
     // under the AxBxC interleave, so the fused call takes the single-pass
-    // kernel. Op caches are cleared (O(1) generation bump) each iteration
-    // so both variants measure real traversals, not warm cache hits.
+    // kernel. Op caches are cleared (the same fill for both variants) each
+    // iteration so both measure real traversals, not warm cache hits.
     let pairs = [(a, b), (b, cc)];
     let delta = r2.and(&mgr.domain_range(b, 24000, 24100));
     // Pre-grow the unique table so neither variant pays first-run growth.

@@ -1,12 +1,12 @@
-//! Profiling probe for the two-level op-cache policy.
+//! Profiling probe for the op caches.
 //!
-//! Runs the context-sensitive scaling workload at one layer depth twice —
-//! once with the pressure-adaptive kernel caches and the relation-level
-//! memo cache enabled (the default engine configuration) and once with
-//! both disabled (the legacy table-proportional policy) — and emits one
-//! JSON line per configuration with the solve time, the per-solve cache
-//! counters and the current cache footprint. The paired records are the
-//! before/after evidence for DESIGN.md §5g and EXPERIMENTS.md.
+//! Runs the context-sensitive scaling workload at one layer depth twice
+//! under the same fixed kernel-cache sizing — once with the relation-level
+//! memo cache enabled (the default engine configuration, record
+//! `layers{N}_memo`) and once with it disabled (`layers{N}_nomemo`) — and
+//! emits one JSON line per configuration with the solve time, the
+//! per-solve cache counters and the current cache footprint. The paired
+//! records are the evidence for DESIGN.md §5g and EXPERIMENTS.md.
 //!
 //! ```console
 //! cache_probe [LAYERS] [--check-floor RATE]
@@ -65,7 +65,6 @@ fn main() -> ExitCode {
         let opts = EngineOptions {
             seminaive: true,
             order: Some(CS_ORDER.into()),
-            adaptive_caches: enabled,
             rel_cache: enabled,
             ..EngineOptions::default()
         };
@@ -86,7 +85,7 @@ fn main() -> ExitCode {
         println!(
             "{{\"bench\":\"cache_probe/layers{layers}_{}\",\"solve_secs\":{secs:.4},\
              \"cache_bytes\":{},\"apply\":{},\"ite\":{},\"appex\":{},\"replace\":{},\"rel\":{}}}",
-            if enabled { "adaptive" } else { "legacy" },
+            if enabled { "memo" } else { "nomemo" },
             bs.cache_bytes,
             cache(&st.apply_cache),
             cache(&st.ite_cache),

@@ -56,10 +56,10 @@ fn main() {
             || context_sensitive(&facts, &cg, &numbering, Some(unfused.clone())).unwrap(),
         );
         // Op-cache counters of one fused solve, as a JSON line alongside
-        // the timings — once under the default two-level cache policy
-        // (pressure-adaptive kernel caches + relation-level memo) and once
-        // under the legacy table-proportional policy, so the trajectory
-        // files record the policy's before/after delta per layer depth.
+        // the timings — once with the relation-level memo (the default)
+        // and once without it, both under the same fixed kernel-cache
+        // sizing, so the trajectory files record the memo's delta per
+        // layer depth.
         let cache = |c: whale_bdd::CacheStats| {
             format!(
                 "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_rate\":{:.4}}}",
@@ -69,12 +69,11 @@ fn main() {
                 c.hit_rate()
             )
         };
-        for (tag, adaptive) in [("cache_stats", true), ("cache_stats_legacy", false)] {
+        for (tag, memo) in [("cache_stats", true), ("cache_stats_nomemo", false)] {
             let opts = EngineOptions {
                 seminaive: true,
                 order: Some(CS_ORDER.into()),
-                adaptive_caches: adaptive,
-                rel_cache: adaptive,
+                rel_cache: memo,
                 ..EngineOptions::default()
             };
             let analysis = context_sensitive(&facts, &cg, &numbering, Some(opts)).unwrap();

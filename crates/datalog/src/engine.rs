@@ -51,11 +51,6 @@ pub struct EngineOptions {
     /// reported in [`SolveStats::rel_cache`]. Disable only for the
     /// ablation benchmark; results are bit-identical either way.
     pub rel_cache: bool,
-    /// Pressure-adaptive sizing of the kernel's operation caches (see
-    /// [`whale_bdd::BddManagerOptions`]). Disable only for the ablation
-    /// benchmark; the legacy policy ties cache sizes to node-table growth
-    /// and thrashes on this workload.
-    pub adaptive_caches: bool,
     /// Worker threads for the parallel solver. `1` (the default) runs the
     /// sequential path unchanged; `N > 1` walks the SCC condensation with
     /// a pool of `N` workers, each owning a private BDD manager — ready
@@ -79,7 +74,6 @@ impl Default for EngineOptions {
             fuse_renames: true,
             reorder: false,
             rel_cache: true,
-            adaptive_caches: true,
             jobs: 1,
         }
     }
@@ -287,8 +281,6 @@ impl Engine {
         // the operation caches mid-fixpoint.
         let bdd_opts = BddManagerOptions {
             initial_capacity: 1 << 20,
-            adaptive_caches: options.adaptive_caches,
-            ..BddManagerOptions::default()
         };
         let mgr = BddManager::with_domains_and_options(&specs, &order, &bdd_opts)?;
 

@@ -1,8 +1,7 @@
-//! Engine-level tests for the two-level op-cache policy: the
-//! relation-level memo cache and the pressure-adaptive kernel caches must
-//! never change a fixpoint, the memo cache must actually fire on the
-//! repeated work it targets, and malformed order specifications must be
-//! reported as errors rather than panics.
+//! Engine-level tests for the relation-level memo cache: it must never
+//! change a fixpoint and must actually fire on the repeated work it
+//! targets, and malformed order specifications must be reported as errors
+//! rather than panics.
 
 use whale_datalog::{DatalogError, Engine, EngineOptions, Program};
 use whale_testkit::Rng;
@@ -75,43 +74,39 @@ fn rel_cache_fires_on_repeated_atom_evaluation() {
     assert!(!sorted_path(&e).is_empty());
 }
 
-/// Solves with every combination of the two cache features and three fact
-/// seeds must produce bit-identical relations: memoization and adaptive
-/// sizing are pure performance policies.
+/// Solves with the relation memo on and off, over three fact seeds, must
+/// produce bit-identical relations: memoization is a pure performance
+/// policy.
 #[test]
 fn cache_policies_leave_relations_unchanged() {
     for seed in [1, 2, 3] {
         let baseline = tc_engine(
             EngineOptions {
                 rel_cache: false,
-                adaptive_caches: false,
                 ..EngineOptions::default()
             },
             seed,
         );
         let expected = sorted_path(&baseline);
         assert!(!expected.is_empty());
-        for (rel, adaptive) in [(true, false), (false, true), (true, true)] {
-            let e = tc_engine(
-                EngineOptions {
-                    rel_cache: rel,
-                    adaptive_caches: adaptive,
-                    ..EngineOptions::default()
-                },
-                seed,
-            );
-            assert_eq!(
-                sorted_path(&e),
-                expected,
-                "rel_cache={rel} adaptive={adaptive} changed the fixpoint (seed {seed})"
-            );
-        }
+        let e = tc_engine(
+            EngineOptions {
+                rel_cache: true,
+                ..EngineOptions::default()
+            },
+            seed,
+        );
+        assert_eq!(
+            sorted_path(&e),
+            expected,
+            "rel_cache changed the fixpoint (seed {seed})"
+        );
     }
 }
 
 /// Mid-solve reordering clears every kernel cache including the memo
-/// cache; the combination of reordering, memoization and adaptive sizing
-/// must still reach the same fixpoint. (Mirrors the reorder_engine test,
+/// cache; the combination of reordering and memoization must still reach
+/// the same fixpoint. (Mirrors the reorder_engine test,
 /// with the cache machinery explicitly enabled on both sides.)
 #[test]
 fn rel_cache_survives_mid_solve_reordering() {
@@ -121,7 +116,6 @@ fn rel_cache_survives_mid_solve_reordering() {
             EngineOptions {
                 order: Some("V2_V1_V0".into()),
                 rel_cache: false,
-                adaptive_caches: false,
                 ..EngineOptions::default()
             },
             seed,
@@ -131,7 +125,6 @@ fn rel_cache_survives_mid_solve_reordering() {
                 order: Some("V2_V1_V0".into()),
                 reorder: true,
                 rel_cache: true,
-                adaptive_caches: true,
                 ..EngineOptions::default()
             },
             seed,

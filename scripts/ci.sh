@@ -48,10 +48,10 @@ TESTKIT_BENCH_ITERS=3 TESTKIT_BENCH_WARMUP=1 \
 # Two reordering records (kernel sift rescue + engine-level reorder on the
 # tiny config) appended likewise.
 ./target/release/reorder_probe >> results/bench_smoke.jsonl
-# Two op-cache policy records (adaptive vs legacy at layers 9) appended
-# likewise. --check-floor is the regression gate: the appex hit rate of
-# the adaptive configuration must not fall below the committed floor
-# (measured 0.091 at layers 9; see EXPERIMENTS.md).
+# Two op-cache records (relation memo on vs off at layers 9, same fixed
+# kernel-cache sizing) appended likewise. --check-floor is the regression
+# gate: the appex hit rate of the memo configuration must not fall below
+# the committed floor (measured 0.091 at layers 9; see EXPERIMENTS.md).
 ./target/release/cache_probe 9 --check-floor 0.085 >> results/bench_smoke.jsonl
 # One parallel-solver record (layers 4, jobs=1 vs jobs=4 wall time plus
 # speedup) appended likewise. The probe also asserts the two runs produce

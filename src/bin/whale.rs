@@ -84,7 +84,7 @@ fn usage(msg: impl Into<String>) -> CliError {
 }
 
 /// Prints the manager's node-table and per-cache counters — the
-/// observability face of the adaptive op-cache policy.
+/// observability face of the kernel's op caches.
 fn print_bdd_stats(s: &whale::bdd::BddStats) {
     println!(
         "bdd: {} live nodes (peak {}, {:.1} MiB), {} allocated, {} GCs, {} reorders",
