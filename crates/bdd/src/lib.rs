@@ -60,7 +60,8 @@
 //! that frees nothing leaves the caches untouched). Per-cache
 //! hit/miss/eviction counters are exposed as the [`CacheStats`]-typed
 //! fields `apply_cache`, `ite_cache`, `appex_cache`, `replace_cache` and
-//! `client_cache` of [`BddStats`].
+//! `client_cache` of [`BddStats`]. Exact counts are memoized per root in a
+//! fixed 256-entry table under the same GC rule, counted in `count_memo`.
 //!
 //! A *client operation cache* with the same GC-safe lifecycle lets callers
 //! memoize whole derived operations —

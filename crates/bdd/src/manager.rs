@@ -82,6 +82,9 @@ pub struct BddStats {
     /// Counters of the client operation cache
     /// ([`BddManager::memo_get`]/[`BddManager::memo_put`]).
     pub client_cache: CacheStats,
+    /// Counters of the exact-count memo behind
+    /// [`Bdd::satcount_domains_exact`].
+    pub count_memo: CacheStats,
     /// Bytes currently held by all operation caches. The caches grow only
     /// with the node table, so this never falls.
     pub cache_bytes: usize,
@@ -537,6 +540,7 @@ impl BddManager {
             appex_cache,
             replace_cache,
             client_cache,
+            count_memo: s.count_memo.stats,
             cache_bytes: s.cache_bytes(),
         }
     }
@@ -1055,7 +1059,7 @@ impl Bdd {
 
     /// Number of satisfying assignments over all manager variables.
     pub fn satcount(&self) -> f64 {
-        self.store.borrow().satcount(self.idx)
+        self.store.borrow_mut().satcount(self.idx)
     }
 
     /// Number of tuples when `self` is read as a relation over the given
@@ -1063,7 +1067,7 @@ impl Bdd {
     ///
     /// The support must be a subset of the domains' variables.
     pub fn satcount_domains(&self, doms: &[DomainId]) -> f64 {
-        let s = self.store.borrow();
+        let mut s = self.store.borrow_mut();
         let dom_bits: u32 = doms.iter().map(|d| s.domains[d.0].bits.len() as u32).sum();
         let total = s.satcount(self.idx);
         total / 2f64.powi((s.varcount - dom_bits) as i32)
@@ -1071,16 +1075,19 @@ impl Bdd {
 
     /// Exact tuple count over the given domains (saturating at
     /// `u128::MAX`) — unlike [`Bdd::satcount_domains`], no floating-point
-    /// rounding at the astronomical counts this analysis produces.
+    /// rounding at the astronomical counts this analysis produces. The
+    /// count is memoized per root and variable set until a collection
+    /// frees the root or a reorder clears the caches, so recounting an
+    /// unchanged relation is a table lookup.
     ///
     /// The support must be a subset of the domains' variables.
     pub fn satcount_domains_exact(&self, doms: &[DomainId]) -> u128 {
-        let s = self.store.borrow();
+        let mut s = self.store.borrow_mut();
         let vars: Vec<Level> = doms
             .iter()
             .flat_map(|d| s.domains[d.0].bits.clone())
             .collect();
-        s.satcount_exact(self.idx, &vars)
+        s.satcount_exact_memo(self.idx, &vars)
     }
 
     /// Number of distinct internal nodes (the paper's measure of BDD size).
@@ -1109,6 +1116,27 @@ impl Bdd {
         out.sort_by_key(|n| std::cmp::Reverse(n.1));
         out.iter()
             .map(|&(id, lvl, lo, hi)| (id, s.order.var_at(lvl), lo, hi))
+            .collect()
+    }
+
+    /// The canonical node structure: one `(variable, low, high)` triple
+    /// per internal node, children before parents and the root last. A
+    /// child is `0`/`1` for the terminals and `2 + i` for the `i`th
+    /// triple. Equal functions under the same variable order give equal
+    /// lists whatever their node ids; an empty list is a terminal root.
+    pub fn canonical_nodes(&self) -> Vec<(u32, u32, u32)> {
+        let mut s = self.store.borrow_mut();
+        let order = s.postorder(self.idx);
+        let pos = |c: u32| {
+            if c <= ONE {
+                c
+            } else {
+                s.walk_pos[c as usize] + 2
+            }
+        };
+        order
+            .iter()
+            .map(|&u| (s.order.var_at(s.level(u)), pos(s.low(u)), pos(s.high(u))))
             .collect()
     }
 

@@ -1,101 +1,66 @@
 //! Satisfying-assignment enumeration and decoding over finite domains,
-//! plus the node-keyed memo table used by the counting algorithms.
+//! plus the memo that keeps exact counts across calls.
 
+use crate::cache::{CacheStats, NIL};
 use crate::store::{Store, ONE, ZERO};
 use crate::Level;
 
-/// An open-addressing memo keyed by node index, in the same style as the
-/// kernel's operation caches (multiplicative hash, power-of-two table,
-/// linear probing). Replaces `std::collections::HashMap` in the counting
-/// hot paths: SipHash on a `u32` key dominated profiles of
-/// `relation_count` on large relations.
-///
-/// Keys must not be `u32::MAX` (the empty-slot sentinel); node indices
-/// never are.
-pub(crate) struct NodeMemo<V> {
-    keys: Vec<u32>,
-    vals: Vec<V>,
-    mask: usize,
-    len: usize,
+/// Log2 of the count memo's entry count.
+const COUNT_MEMO_LOG2: u32 = 8;
+
+/// A direct-mapped memo of exact counts, keyed by `(root, varset id)`. It
+/// never grows: a colliding entry is overwritten and the next count of
+/// the evicted key just recounts. An entry whose root is `NIL` is empty.
+pub(crate) struct CountMemo {
+    entries: Vec<(u32, u32, u128)>,
+    pub(crate) stats: CacheStats,
 }
 
-const MEMO_EMPTY: u32 = u32::MAX;
-
-#[inline]
-fn memo_hash(k: u32) -> usize {
-    let mut h = (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    h ^= h >> 29;
-    h as usize
-}
-
-impl<V: Copy + Default> NodeMemo<V> {
+impl CountMemo {
     pub(crate) fn new() -> Self {
-        Self::with_log2_capacity(10)
-    }
-
-    fn with_log2_capacity(log2: u32) -> Self {
-        let cap = 1usize << log2;
-        NodeMemo {
-            keys: vec![MEMO_EMPTY; cap],
-            vals: vec![V::default(); cap],
-            mask: cap - 1,
-            len: 0,
+        CountMemo {
+            entries: vec![(NIL, 0, 0); 1 << COUNT_MEMO_LOG2],
+            stats: CacheStats::default(),
         }
     }
 
     #[inline]
-    pub(crate) fn get(&self, key: u32) -> Option<V> {
-        debug_assert_ne!(key, MEMO_EMPTY);
-        let mut i = memo_hash(key) & self.mask;
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                return Some(self.vals[i]);
-            }
-            if k == MEMO_EMPTY {
-                return None;
-            }
-            i = (i + 1) & self.mask;
+    fn slot(root: u32, vid: u32) -> usize {
+        let h = (u64::from(root) << 32 | u64::from(vid)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (h >> (64 - COUNT_MEMO_LOG2)) as usize
+    }
+
+    pub(crate) fn get(&mut self, root: u32, vid: u32) -> Option<u128> {
+        let (r, v, count) = self.entries[Self::slot(root, vid)];
+        if (r, v) == (root, vid) {
+            self.stats.hits += 1;
+            Some(count)
+        } else {
+            self.stats.misses += 1;
+            None
         }
     }
 
-    #[inline]
-    pub(crate) fn insert(&mut self, key: u32, val: V) {
-        debug_assert_ne!(key, MEMO_EMPTY);
-        // Grow at 7/8 load to keep probe chains short.
-        if self.len * 8 >= self.keys.len() * 7 {
-            self.grow();
+    pub(crate) fn put(&mut self, root: u32, vid: u32, count: u128) {
+        let e = &mut self.entries[Self::slot(root, vid)];
+        if e.0 != NIL {
+            self.stats.evictions += 1;
         }
-        let mut i = memo_hash(key) & self.mask;
-        loop {
-            let k = self.keys[i];
-            if k == MEMO_EMPTY {
-                self.keys[i] = key;
-                self.vals[i] = val;
-                self.len += 1;
-                return;
+        *e = (root, vid, count);
+    }
+
+    /// Drops every entry whose root fails `live`.
+    pub(crate) fn retain(&mut self, live: impl Fn(u32) -> bool) {
+        for e in &mut self.entries {
+            if e.0 != NIL && !live(e.0) {
+                e.0 = NIL;
             }
-            if k == key {
-                self.vals[i] = val;
-                return;
-            }
-            i = (i + 1) & self.mask;
         }
     }
 
-    fn grow(&mut self) {
-        let old_keys = std::mem::take(&mut self.keys);
-        let old_vals = std::mem::take(&mut self.vals);
-        let cap = old_keys.len() * 2;
-        self.keys = vec![MEMO_EMPTY; cap];
-        self.vals = vec![V::default(); cap];
-        self.mask = cap - 1;
-        self.len = 0;
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
-            if k != MEMO_EMPTY {
-                self.insert(k, v);
-            }
-        }
+    /// Roots of the occupied entries.
+    pub(crate) fn roots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.entries.iter().map(|e| e.0).filter(|&r| r != NIL)
     }
 }
 
@@ -162,33 +127,4 @@ pub(crate) fn decode_tuple(assignment: &[bool], positions: &[Vec<(usize, u32)>])
                 .sum()
         })
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::NodeMemo;
-
-    #[test]
-    fn node_memo_insert_get_overwrite() {
-        let mut m: NodeMemo<u64> = NodeMemo::new();
-        assert_eq!(m.get(2), None);
-        m.insert(2, 10);
-        m.insert(3, 20);
-        assert_eq!(m.get(2), Some(10));
-        assert_eq!(m.get(3), Some(20));
-        m.insert(2, 11);
-        assert_eq!(m.get(2), Some(11));
-    }
-
-    #[test]
-    fn node_memo_grows_past_initial_capacity() {
-        let mut m: NodeMemo<u32> = NodeMemo::new();
-        for k in 2..5000u32 {
-            m.insert(k, k * 3);
-        }
-        for k in 2..5000u32 {
-            assert_eq!(m.get(k), Some(k * 3));
-        }
-        assert_eq!(m.get(6000), None);
-    }
 }

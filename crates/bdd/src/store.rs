@@ -11,7 +11,7 @@
 use crate::cache::{Cache, CacheStats, NIL};
 use crate::domain::DomainData;
 use crate::order::{ReorderStats, VarOrder};
-use crate::sat::NodeMemo;
+use crate::sat::CountMemo;
 use crate::Level;
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
@@ -88,9 +88,14 @@ pub(crate) struct Store {
     /// Logical node-table size: the number of slots `mk` may use before it
     /// has to collect.
     pub(crate) capacity: usize,
-    /// Visited flags of the GC mark phase and of [`Store::reachable`]'s
-    /// walks; all clear between them.
+    /// Visited flags of the GC mark phase and of the [`Store::reachable`]
+    /// and [`Store::postorder`] walks; all clear between them.
     marks: Vec<bool>,
+    /// Each node's index in the last [`Store::postorder`] walk that
+    /// visited it; entries of nodes outside that walk are stale.
+    pub(crate) walk_pos: Vec<u32>,
+    /// Exact counts of whole roots, kept across calls.
+    pub(crate) count_memo: CountMemo,
     buckets: Vec<u32>,
     bucket_mask: usize,
     /// Freed slots inside the used prefix (never-used slots are not chained).
@@ -219,6 +224,8 @@ impl Store {
             nodes,
             capacity,
             marks: Vec::new(),
+            walk_pos: Vec::new(),
+            count_memo: CountMemo::new(),
             buckets: vec![NIL; capacity],
             bucket_mask: capacity - 1,
             free_head: NIL,
@@ -469,6 +476,7 @@ impl Store {
         self.replace_cache.revalidate(live, false, false);
         // Client entries are (node, node|NIL, opaque tag).
         self.client_cache.revalidate(live, true, false);
+        self.count_memo.retain(live);
     }
 
     /// Drops every memoized operation result (a fill of every cache).
@@ -482,6 +490,7 @@ impl Store {
         ] {
             c.clear();
         }
+        self.count_memo.retain(|_| false);
     }
 
     /// Cumulative per-cache counters:
@@ -561,7 +570,7 @@ impl Store {
     ///   and every slot on it is actually free (`low == NIL`);
     /// * every valid entry of the five operation caches names only live
     ///   nodes, under each cache's key layout (see
-    ///   [`Store::revalidate_caches`]);
+    ///   [`Store::revalidate_caches`]), and so does every count-memo root;
     /// * no node carries a mark: marks are set only inside a collection or
     ///   a [`Store::reachable`] walk, and a leaked one would keep a dead
     ///   node alive at the next collection.
@@ -713,6 +722,9 @@ impl Store {
             cache
                 .check(fault, b_node, c_node)
                 .map_err(|e| format!("{name} {e}"))?;
+        }
+        if let Some((r, what)) = self.count_memo.roots().find_map(|r| Some((r, fault(r)?))) {
+            return Err(format!("count memo entry for root {r} names {what}"));
         }
         Ok(())
     }
@@ -1354,105 +1366,108 @@ impl Store {
         self.reachable(f).len()
     }
 
+    /// Every internal node reachable from `f`, children before parents,
+    /// with `walk_pos[u]` set to `u`'s index in the result (`f` is last).
+    /// Like [`Store::reachable`], the walk flags visited nodes in `marks`
+    /// and clears them before returning.
+    pub(crate) fn postorder(&mut self, f: u32) -> Vec<u32> {
+        let n = self.nodes.len();
+        if self.marks.len() < n {
+            self.marks.resize(n, false);
+        }
+        if self.walk_pos.len() < n {
+            self.walk_pos.resize(n, 0);
+        }
+        let mut out = Vec::new();
+        // `(u, true)` emits `u`: every child pushed above it is done.
+        let mut stack = vec![(f, false)];
+        while let Some((u, expanded)) = stack.pop() {
+            if expanded {
+                self.walk_pos[u as usize] = out.len() as u32;
+                out.push(u);
+            } else if !self.is_term(u) && !self.marks[u as usize] {
+                self.marks[u as usize] = true;
+                let node = &self.nodes[u as usize];
+                stack.extend([(u, true), (node.low, false), (node.high, false)]);
+            }
+        }
+        for &u in &out {
+            self.marks[u as usize] = false;
+        }
+        out
+    }
+
+    /// Folds `f` bottom-up over one [`Store::postorder`] walk. A node's
+    /// value is the sum over its children of the child's value weighed by
+    /// `scale(v, k)`, where `k` counts the variables skipped on that edge:
+    /// those with a level `l` in `from < l < to` count `prefix[to] -
+    /// prefix[from + 1]`, terminals sitting at level `varcount`. The root
+    /// is weighed likewise for the variables above it.
+    fn count_walk<T: Copy>(
+        &mut self,
+        f: u32,
+        prefix: &[u32],
+        [zero, one]: [T; 2],
+        scale: impl Fn(T, u32) -> T,
+        add: impl Fn(T, T) -> T,
+    ) -> T {
+        let order = self.postorder(f);
+        let mut vals: Vec<T> = Vec::with_capacity(order.len());
+        let value = |vals: &[T], c: u32| match c {
+            ZERO => (zero, self.varcount),
+            ONE => (one, self.varcount),
+            _ => (vals[self.walk_pos[c as usize] as usize], self.level(c)),
+        };
+        for &u in &order {
+            let n = self.nodes[u as usize];
+            let mut v = zero;
+            for c in [n.low, n.high] {
+                let (cv, cl) = value(&vals, c);
+                v = add(
+                    v,
+                    scale(cv, prefix[cl as usize] - prefix[n.level as usize + 1]),
+                );
+            }
+            vals.push(v);
+        }
+        let (v, l) = value(&vals, f);
+        scale(v, prefix[l as usize])
+    }
+
     /// Exact number of satisfying assignments restricted to the variables
     /// in `vars` (which must cover the support of `f`), saturating at
     /// `u128::MAX`.
-    pub(crate) fn satcount_exact(&self, f: u32, vars: &[Level]) -> u128 {
-        // prefix[l] = how many of `vars` have level < l; this counts the
-        // skipped (free) variables between a node and its children.
-        let mut in_set = vec![false; self.varcount as usize + 1];
+    pub(crate) fn satcount_exact(&mut self, f: u32, vars: &[Level]) -> u128 {
+        // prefix[l] = how many of `vars` have level < l.
+        let mut prefix = vec![0u32; self.varcount as usize + 1];
         for &v in vars {
-            in_set[self.order.level_of(v) as usize] = true;
+            prefix[self.order.level_of(v) as usize + 1] = 1;
         }
-        let mut prefix = vec![0u32; self.varcount as usize + 2];
-        for l in 0..=self.varcount as usize {
-            prefix[l + 1] = prefix[l] + u32::from(in_set[l]);
+        for l in 1..prefix.len() {
+            prefix[l] += prefix[l - 1];
         }
-        let eff = |x: u32| -> u32 {
-            if self.is_term(x) {
-                self.varcount
-            } else {
-                self.level(x)
-            }
-        };
-        let pow2 = |bits: u32| -> u128 {
-            if bits >= 128 {
-                u128::MAX
-            } else {
-                1u128 << bits
-            }
-        };
-        fn sc(
-            s: &Store,
-            f: u32,
-            memo: &mut NodeMemo<u128>,
-            prefix: &[u32],
-            eff: &dyn Fn(u32) -> u32,
-            pow2: &dyn Fn(u32) -> u128,
-        ) -> u128 {
-            if f == ZERO {
-                return 0;
-            }
-            if f == ONE {
-                return 1;
-            }
-            if let Some(v) = memo.get(f) {
-                return v;
-            }
-            let n = s.nodes[f as usize];
-            let free = |from: u32, to: u32| prefix[to as usize] - prefix[from as usize + 1];
-            let l = sc(s, n.low, memo, prefix, eff, pow2)
-                .saturating_mul(pow2(free(n.level, eff(n.low))));
-            let h = sc(s, n.high, memo, prefix, eff, pow2)
-                .saturating_mul(pow2(free(n.level, eff(n.high))));
-            let v = l.saturating_add(h);
-            memo.insert(f, v);
-            v
+        let scale =
+            |v: u128, bits: u32| v.saturating_mul(1u128.checked_shl(bits).unwrap_or(u128::MAX));
+        self.count_walk(f, &prefix, [0, 1], scale, u128::saturating_add)
+    }
+
+    /// [`Store::satcount_exact`] through the count memo, keyed by `f` and
+    /// the id of the sorted variable set.
+    pub(crate) fn satcount_exact_memo(&mut self, f: u32, vars: &[Level]) -> u128 {
+        let vid = self.varset_id(vars);
+        if let Some(count) = self.count_memo.get(f, vid) {
+            return count;
         }
-        let mut memo = NodeMemo::new();
-        let base = sc(self, f, &mut memo, &prefix, &eff, &pow2);
-        // Free variables above the root.
-        let above = if self.is_term(f) {
-            prefix[self.varcount as usize]
-        } else {
-            prefix[self.level(f) as usize]
-        };
-        base.saturating_mul(pow2(above))
+        let count = self.satcount_exact(f, vars);
+        self.count_memo.put(f, vid, count);
+        count
     }
 
     /// Number of satisfying assignments over all `varcount` variables.
-    pub(crate) fn satcount(&self, f: u32) -> f64 {
-        let mut memo: NodeMemo<f64> = NodeMemo::new();
-        let eff = |s: &Store, x: u32| -> u32 {
-            if s.is_term(x) {
-                s.varcount
-            } else {
-                s.level(x)
-            }
-        };
-        fn sc(
-            s: &Store,
-            f: u32,
-            memo: &mut NodeMemo<f64>,
-            eff: &dyn Fn(&Store, u32) -> u32,
-        ) -> f64 {
-            if f == ZERO {
-                return 0.0;
-            }
-            if f == ONE {
-                return 1.0;
-            }
-            if let Some(v) = memo.get(f) {
-                return v;
-            }
-            let n = s.nodes[f as usize];
-            let l = sc(s, n.low, memo, eff) * 2f64.powi((eff(s, n.low) - n.level - 1) as i32);
-            let h = sc(s, n.high, memo, eff) * 2f64.powi((eff(s, n.high) - n.level - 1) as i32);
-            let v = l + h;
-            memo.insert(f, v);
-            v
-        }
-        sc(self, f, &mut memo, &eff) * 2f64.powi(eff(self, f) as i32)
+    pub(crate) fn satcount(&mut self, f: u32) -> f64 {
+        let prefix: Vec<u32> = (0..=self.varcount).collect();
+        let scale = |v: f64, bits: u32| v * 2f64.powi(bits as i32);
+        self.count_walk(f, &prefix, [0.0, 1.0], scale, |a, b| a + b)
     }
 
     // ----- dynamic reordering -------------------------------------------------
@@ -2001,6 +2016,22 @@ mod sanitize_tests {
         let err = s.check_invariants().unwrap_err();
         assert!(
             err.contains("client cache entry") && err.contains("dead node"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn dead_count_memo_root_is_caught() {
+        let (mut s, a, b) = store_with_chain();
+        assert_eq!(s.satcount_exact_memo(b, &[1, 2]), 3);
+        // The collection frees `b` and revalidation drops its entry; one
+        // seeded afterwards names a dead root.
+        s.gc();
+        assert_eq!(s.check_invariants(), Ok(()));
+        s.count_memo.put(a, 0, 1);
+        let err = s.check_invariants().unwrap_err();
+        assert!(
+            err.contains(&format!("count memo entry for root {a}")) && err.contains("dead node"),
             "{err}"
         );
     }

@@ -626,3 +626,100 @@ fn tuple_set_matches_minterm_reference() {
     );
     assert!(grown.get() > 0, "no build collected and grew the table");
 }
+
+/// One count check: a relation over 1–3 domains, its tuples, and junk
+/// relations to build, count and free around it.
+#[derive(Debug, Clone)]
+struct CountCase {
+    sizes: Vec<u64>,
+    tuples: Vec<Vec<u64>>,
+    junk: Vec<Vec<Vec<u64>>>,
+}
+
+fn arb_count_case() -> Gen<CountCase> {
+    Gen::new(|rng| {
+        let sizes: Vec<u64> = (0..rng.gen_range(1..4usize))
+            .map(|_| 1 + rng.below(40))
+            .collect();
+        let rel = |rng: &mut Rng| -> Vec<Vec<u64>> {
+            (0..rng.below(60))
+                .map(|_| sizes.iter().map(|&s| rng.below(s)).collect())
+                .collect()
+        };
+        let tuples = rel(rng);
+        let junk = (0..rng.gen_range(1..4usize)).map(|_| rel(rng)).collect();
+        CountCase {
+            sizes,
+            tuples,
+            junk,
+        }
+    })
+}
+
+#[test]
+fn exact_counts_survive_gc_reorder_and_cache_clears() {
+    check(
+        "exact_counts_survive_gc_reorder_and_cache_clears",
+        CASES,
+        &arb_count_case(),
+        |case| {
+            let names: Vec<String> = (0..case.sizes.len()).map(|i| format!("D{i}")).collect();
+            let mut specs: Vec<DomainSpec> = names
+                .iter()
+                .zip(&case.sizes)
+                .map(|(n, &size)| DomainSpec::new(n.as_str(), size))
+                .collect();
+            specs.push(DomainSpec::new("E", 50));
+            let order = names.iter().map(|n| vec![n.clone()]);
+            let m = BddManager::with_domains(
+                &specs,
+                &OrderSpec::from_groups(order.chain([vec!["E".into()]]).collect()),
+            )
+            .unwrap();
+            let doms: Vec<_> = names.iter().map(|n| m.domain(n).unwrap()).collect();
+            let e = m.domain("E").unwrap();
+            // Both counts, checked against decoding, and the memo's hits.
+            let counted = |f: &Bdd| -> Result<u64, String> {
+                let want = f.tuples(&doms).len() as u128;
+                eq_or(f.satcount_domains_exact(&doms), want, "exact count")?;
+                eq_or(f.satcount_domains(&doms), want as f64, "f64 count")?;
+                Ok(m.stats().count_memo.hits)
+            };
+            let rel = m.tuple_set(&doms, &case.tuples);
+            let hits = counted(&rel)?;
+            eq_or(counted(&rel)?, hits + 1, "repeat count hits the memo")?;
+            // One root over two variable sets: keys must not collide, and
+            // the domain order does not change the key.
+            let mut with_e = doms.clone();
+            with_e.push(e);
+            let n = rel.satcount_domains_exact(&doms);
+            eq_or(
+                rel.satcount_domains_exact(&with_e),
+                n * 64,
+                "count with E free",
+            )?;
+            with_e.reverse();
+            eq_or(
+                rel.satcount_domains_exact(&with_e),
+                n * 64,
+                "reversed domains",
+            )?;
+            // Counted roots die and their slots are reused.
+            for t in &case.junk {
+                counted(&m.tuple_set(&doms, t))?;
+            }
+            m.gc();
+            m.check_invariants()?;
+            for t in case.junk.iter().rev() {
+                counted(&m.tuple_set(&doms, t))?;
+            }
+            counted(&rel)?;
+            m.reorder_sift();
+            counted(&rel)?;
+            m.clear_op_caches();
+            let hits = m.stats().count_memo.hits;
+            eq_or(counted(&rel)?, hits, "cleared memo misses")?;
+            m.check_invariants()
+        },
+    );
+}

@@ -7,7 +7,10 @@
 //! warm-started engine answers identically to the cold one without
 //! solving, and an incremental re-solve after a fact delta applies
 //! strictly fewer rules than a from-scratch solve while landing on the
-//! byte-identical result. Pass a Figure 3 benchmark name and a scale
+//! byte-identical result. Exact counts are memoized: a second `vPC`
+//! count on an unchanged engine must hit the kernel's count memo, and
+//! the count after the delta must match the from-scratch engine's. Pass
+//! a Figure 3 benchmark name and a scale
 //! denominator for real workloads: `serve_probe nfcchat 16`.
 
 use std::time::Instant;
@@ -42,6 +45,13 @@ fn main() {
     let cold_stats = cold.solve().unwrap();
     let cold_secs = t.elapsed().as_secs_f64();
     let vpc = cold.relation_count_exact("vPC").unwrap();
+    let memo_hits = cold.manager().stats().count_memo.hits;
+    assert_eq!(cold.relation_count_exact("vPC").unwrap(), vpc);
+    assert_eq!(
+        cold.manager().stats().count_memo.hits,
+        memo_hits + 1,
+        "a second vPC count on an unchanged engine must hit the count memo"
+    );
 
     // Warm start: dump every relation as io v2 (what the daemon persists
     // on clean shutdown), then restore into a fresh engine and measure
@@ -88,6 +98,7 @@ fn main() {
     );
     let mut inc = prepare();
     inc.solve().unwrap();
+    assert_eq!(inc.relation_count_exact("vPC").unwrap(), vpc);
     inc.add_fact("vP0", delta).unwrap();
     let t = Instant::now();
     let inc_stats = inc.solve_incremental().unwrap();
@@ -109,6 +120,11 @@ fn main() {
         inc.relation_tuples("vPC").unwrap(),
         scratch.relation_tuples("vPC").unwrap(),
         "incremental vPC diverges from from-scratch solve"
+    );
+    assert_eq!(
+        inc.relation_count_exact("vPC").unwrap(),
+        scratch.relation_count_exact("vPC").unwrap(),
+        "incremental vPC count diverges from the from-scratch count"
     );
 
     println!(

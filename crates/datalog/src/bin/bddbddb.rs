@@ -251,13 +251,15 @@ fn run() -> Result<ExitCode, CliError> {
             bs.cache_bytes as f64 / (1024.0 * 1024.0)
         );
         // Per-solve counter deltas, including the relation-level memo
-        // cache the engine layers on top of the kernel caches.
+        // cache the engine layers on top of the kernel caches, then the
+        // manager's exact-count memo (counts run outside solves).
         for (name, c) in [
             ("apply", &stats.apply_cache),
             ("ite", &stats.ite_cache),
             ("appex", &stats.appex_cache),
             ("replace", &stats.replace_cache),
             ("rel", &stats.rel_cache),
+            ("count", &bs.count_memo),
         ] {
             eprintln!(
                 "  {name:<8} hits={:<10} misses={:<10} evictions={:<10} hit rate {:.1}%",

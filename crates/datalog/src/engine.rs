@@ -606,9 +606,13 @@ impl Engine {
 
     /// A deterministic digest of everything a solve's outcome depends on:
     /// the program shape (domains, relations, rules), the variable order,
-    /// and the sorted base tuples of every relation. Two engines with
-    /// equal hashes compute identical fixpoints, which is what keys the
-    /// serve daemon's warm-start dump cache.
+    /// and the canonical node structure of every relation's base facts
+    /// ([`Bdd::canonical_nodes`]), hashed in O(nodes) rather than
+    /// O(tuples). Two engines with equal hashes compute identical
+    /// fixpoints, which is what keys the serve daemon's warm-start dump
+    /// cache. The structure depends on the current variable order, so a
+    /// sifted engine may hash differently from an unsifted one over the
+    /// same facts: a cache miss, never a wrong warm start.
     #[must_use]
     pub fn fact_stream_hash(&self) -> u64 {
         // FNV-1a, 64-bit — stable across runs and platforms, no external
@@ -647,13 +651,13 @@ impl Engine {
             mix_str(&mut h, &rule.to_string());
         }
         for (ix, r) in self.rel.iter().enumerate() {
-            let mut tuples = r.base.tuples(&r.attr_phys);
-            tuples.sort_unstable();
+            let nodes = r.base.canonical_nodes();
             mix_bytes(&mut h, &(ix as u64).to_le_bytes());
-            mix_bytes(&mut h, &(tuples.len() as u64).to_le_bytes());
-            for t in &tuples {
-                for v in t {
-                    mix_bytes(&mut h, &v.to_le_bytes());
+            mix_bytes(&mut h, &[u8::from(r.base.is_one())]);
+            mix_bytes(&mut h, &(nodes.len() as u64).to_le_bytes());
+            for (var, low, high) in nodes {
+                for x in [var, low, high] {
+                    mix_bytes(&mut h, &x.to_le_bytes());
                 }
             }
         }

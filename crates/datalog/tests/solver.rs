@@ -789,3 +789,61 @@ fn bad_tuple_mid_list_leaves_the_engine_unchanged() {
     got.sort_unstable();
     assert_eq!(got, vec![vec![1, 2], vec![1, 3], vec![2, 3]]);
 }
+
+#[test]
+fn fact_stream_hash_ignores_fact_order_and_batching() {
+    let edges: Vec<[u64; 2]> = vec![[0, 1], [1, 2], [2, 3], [7, 5], [3, 0]];
+    let fresh = || Engine::new(Program::parse(TC).unwrap()).unwrap();
+    let mut one_batch = fresh();
+    one_batch.add_facts("edge", &edges).unwrap();
+    let mut reversed = fresh();
+    for e in edges.iter().rev() {
+        reversed.add_fact("edge", e).unwrap();
+    }
+    // Two batches, one tuple twice, and a tuple added then retracted.
+    let mut batched = fresh();
+    batched.add_facts("edge", &edges[3..]).unwrap();
+    batched.add_facts("edge", [[9u64, 9], [2, 3]]).unwrap();
+    batched.retract_fact("edge", &[9, 9]).unwrap();
+    batched.add_facts("edge", &edges[..3]).unwrap();
+    let hash = one_batch.fact_stream_hash();
+    assert_eq!(reversed.fact_stream_hash(), hash);
+    assert_eq!(batched.fact_stream_hash(), hash);
+    batched.add_fact("edge", &[9, 9]).unwrap();
+    assert_ne!(batched.fact_stream_hash(), hash, "different facts");
+}
+
+#[test]
+fn exact_count_after_incremental_deltas_matches_from_scratch() {
+    let mut e = solve(
+        TC,
+        &[("edge", &[0, 1]), ("edge", &[1, 2]), ("edge", &[2, 3])],
+    );
+    assert_eq!(e.relation_count_exact("path").unwrap(), 6);
+    assert_eq!(e.relation_count_exact("path").unwrap(), 6, "memoized");
+    let deltas: [(bool, &[[u64; 2]]); 3] = [
+        (true, &[[3, 4], [4, 5]]),
+        (false, &[[1, 2]]),
+        (true, &[[1, 2], [5, 0]]),
+    ];
+    let mut facts: Vec<[u64; 2]> = vec![[0, 1], [1, 2], [2, 3]];
+    for (add, delta) in deltas {
+        if add {
+            e.add_facts("edge", delta).unwrap();
+            facts.extend_from_slice(delta);
+        } else {
+            e.retract_facts("edge", delta).unwrap();
+            facts.retain(|f| !delta.contains(f));
+        }
+        e.solve_incremental().unwrap();
+        let fact_refs: Vec<(&str, &[u64])> = facts.iter().map(|f| ("edge", &f[..])).collect();
+        let scratch = solve(TC, &fact_refs);
+        for rel in ["edge", "path"] {
+            assert_eq!(
+                e.relation_count_exact(rel).unwrap(),
+                scratch.relation_count_exact(rel).unwrap(),
+                "{rel} after delta {delta:?}"
+            );
+        }
+    }
+}

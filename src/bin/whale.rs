@@ -105,6 +105,7 @@ fn print_bdd_stats(s: &whale::bdd::BddStats) {
         ("appex", &s.appex_cache),
         ("replace", &s.replace_cache),
         ("client", &s.client_cache),
+        ("count", &s.count_memo),
     ] {
         println!(
             "  {name:<8} hits={:<10} misses={:<10} evictions={:<10} hit rate {:.1}%",

@@ -42,9 +42,13 @@
 //! every relation through the hardened [`whale_bdd::io::read_bdd`] and
 //! skips the cold solve entirely; any decode error logs to stderr and
 //! falls back to solving from the loaded facts. The key covers the
-//! program, the variable order, and every base tuple, so a stale dump
-//! can only be reached by a hash collision, not by a changed input.
+//! program, the variable order, and the canonical node structure of every
+//! relation's base facts, so a stale dump can only be reached by a hash
+//! collision, not by a changed input. An engine that sifted its order
+//! before shutdown writes a key a fresh engine will not compute: a miss
+//! and a cold solve, never a wrong answer.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
@@ -791,14 +795,19 @@ fn encode_json(v: &Json) -> String {
 }
 
 fn encode_tuples(tuples: &[Vec<u64>]) -> String {
-    let rows: Vec<String> = tuples
-        .iter()
-        .map(|t| {
-            let vals: Vec<String> = t.iter().map(u64::to_string).collect();
-            format!("[{}]", vals.join(","))
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
+    let mut out = String::from("[");
+    for (i, t) in tuples.iter().enumerate() {
+        out.push_str(if i == 0 { "[" } else { ",[" });
+        for (j, v) in t.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            write!(out, "{v}").expect("writing to a String cannot fail");
+        }
+        out.push(']');
+    }
+    out.push(']');
+    out
 }
 
 fn encode_stats(s: &SolveStats) -> String {
@@ -871,6 +880,33 @@ mod tests {
         assert_eq!(v.get("id").unwrap().as_u64(), Some(7));
         let fixed = v.get("fixed").unwrap().as_arr().unwrap();
         assert_eq!(fixed[0].as_arr().unwrap()[1].as_u64(), Some(3));
+    }
+
+    #[test]
+    fn tuple_encoding_matches_the_joined_rows() {
+        let joined = |tuples: &[Vec<u64>]| {
+            let rows: Vec<String> = tuples
+                .iter()
+                .map(|t| {
+                    let vals: Vec<String> = t.iter().map(u64::to_string).collect();
+                    format!("[{}]", vals.join(","))
+                })
+                .collect();
+            format!("[{}]", rows.join(","))
+        };
+        let mut rng = whale_testkit::Rng::seed_from_u64(7);
+        for _ in 0..200 {
+            let arity = rng.below(4) as usize;
+            let tuples: Vec<Vec<u64>> = (0..rng.below(6))
+                .map(|_| {
+                    (0..arity)
+                        .map(|_| rng.next_u64() >> rng.below(64))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(encode_tuples(&tuples), joined(&tuples));
+        }
+        assert_eq!(encode_tuples(&[]), "[]");
     }
 
     #[test]
