@@ -152,12 +152,13 @@ pub fn read_bdd<R: BufRead>(mgr: &BddManager, input: R) -> Result<Bdd, BddError>
 /// A plain-data snapshot of a BDD, detached from any manager.
 ///
 /// This is the in-memory form of the `.bdd` text format: a children-first
-/// node list naming stable *variables* (not levels), plus the root. Being
-/// plain data it is `Send`, which makes it the unit of transfer between
-/// solver workers that each own a private [`BddManager`] — the sending
-/// side snapshots under whatever order its manager currently uses, the
-/// receiving side [`restore`](Self::restore)s through ordinary apply
-/// operations, so both sides may reorder freely in between.
+/// node list naming stable *variables* (not levels), plus the root. It is
+/// the unit of transfer between managers built from the same domain
+/// layout — e.g. a demand query's private engine and the engine it reads
+/// its input relations from. The sending side snapshots under whatever
+/// order its manager currently uses, the receiving side
+/// [`restore`](Self::restore)s through ordinary apply operations, so both
+/// sides may reorder freely in between.
 #[derive(Clone, Debug)]
 pub struct BddSnapshot {
     varcount: u32,
@@ -282,7 +283,7 @@ pub fn transfer(f: &Bdd, target: &BddManager, var_map: &[u32]) -> Result<Bdd, Bd
     // Children-first node list lets us rebuild bottom-up with a plain map.
     // `dump_nodes` on a live BDD upholds that invariant, but a kernel bug
     // here should surface as an error, not a panic in the middle of a
-    // worker transfer.
+    // transfer.
     let nodes = f.dump_nodes();
     let mut map: HashMap<u64, Bdd> = HashMap::new();
     map.insert(0, target.zero());
@@ -428,7 +429,7 @@ mod tests {
     fn snapshot_restores_across_same_layout_managers() {
         // Two managers from the same spec/order assign identical variable
         // numbers, so a snapshot carries over with no explicit map — the
-        // worker-transfer shape.
+        // shape a demand query uses to copy its inputs.
         let m1 = mgr();
         let m2 = mgr();
         let (a1, b1) = (m1.domain("A").unwrap(), m1.domain("B").unwrap());

@@ -513,8 +513,8 @@ impl BddManager {
 
     /// Runs [`BddManager::check_invariants`] and panics with `context` on
     /// a violation — but only when the sanitizer is enabled; otherwise a
-    /// no-op. The hook clients place at their own rendezvous points (the
-    /// parallel Datalog solver calls it at every OR-merge).
+    /// no-op. The hook clients place at points where they want the table
+    /// audited (snapshot restore calls it after every rebuild).
     pub fn sanitize_check(&self, context: &str) {
         let s = self.store.borrow();
         if s.sanitize {

@@ -7,14 +7,13 @@
 //! two: solve times, rule applications, magic/pruned rule counts and the
 //! answer size. Asserts the two agree tuple-for-tuple, that the query
 //! evaluates strictly fewer rule applications than the full solve, and
-//! that the answer is byte-identical across a repeat run and a 2-worker
-//! run — so the CI smoke run doubles as a determinism check. Pass a
+//! that the answer is byte-identical across a repeat run — so the CI
+//! smoke run doubles as a determinism check. Pass a
 //! Figure 3 benchmark name and a scale denominator for real workloads:
 //! `query_probe nfcchat 16`.
 
 use std::time::Instant;
-use whale_core::{context_sensitive, default_options, number_contexts, CallGraph, CS_ORDER};
-use whale_datalog::EngineOptions;
+use whale_core::{context_sensitive, number_contexts, CallGraph};
 use whale_ir::synth::{self, SynthConfig};
 use whale_ir::Facts;
 
@@ -62,17 +61,9 @@ fn main() {
         q.stats.rule_applications
     );
 
-    // Determinism: a repeat run and a 2-worker run return byte-identical
-    // answers.
+    // Determinism: a repeat run returns byte-identical answers.
     let again = full.engine.solve_query(&atom).unwrap();
     assert_eq!(q.tuples, again.tuples, "repeat query diverged");
-    let opts = EngineOptions {
-        jobs: 2,
-        ..default_options(CS_ORDER)
-    };
-    let mut par = context_sensitive(&facts, &cg, &numbering, Some(opts)).unwrap();
-    let parq = par.engine.solve_query(&atom).unwrap();
-    assert_eq!(q.tuples, parq.tuples, "2-worker query diverged");
 
     println!(
         "{{\"bench\":\"query/{name}\",\"query\":\"{atom}\",\"answers\":{},\

@@ -8,7 +8,7 @@
 //! (`fuse_renames: false`) — so the trajectory files record the
 //! before/after delta of kernel fusion end to end.
 
-use whale_core::{context_sensitive, default_options, number_contexts, CallGraph, CS_ORDER};
+use whale_core::{context_sensitive, number_contexts, CallGraph, CS_ORDER};
 use whale_datalog::EngineOptions;
 use whale_ir::synth::SynthConfig;
 use whale_ir::Facts;
@@ -86,40 +86,6 @@ fn main() {
                 cache(s.appex_cache),
                 cache(s.replace_cache),
                 cache(s.client_cache),
-            );
-        }
-        // Speedup curve of the parallel solver: one timed solve per
-        // worker count. The `cores` field keeps the records honest — on a
-        // single-core host the wall-clock ratio measures scheduling and
-        // transfer overhead, not parallelism; `critical_path_secs` is the
-        // DAG-level speedup ceiling an unconstrained host could reach.
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let base = std::time::Instant::now();
-        let a1 =
-            context_sensitive(&facts, &cg, &numbering, Some(default_options(CS_ORDER))).unwrap();
-        let jobs1_secs = base.elapsed().as_secs_f64();
-        let seq_total: f64 = a1
-            .stats
-            .stratum_times
-            .iter()
-            .map(std::time::Duration::as_secs_f64)
-            .sum();
-        for jobs in [2usize, 4] {
-            let opts = EngineOptions {
-                jobs,
-                ..default_options(CS_ORDER)
-            };
-            let t = std::time::Instant::now();
-            let a = context_sensitive(&facts, &cg, &numbering, Some(opts)).unwrap();
-            let secs = t.elapsed().as_secs_f64();
-            println!(
-                "{{\"bench\":\"scaling_paths/layers{layers}_jobs{jobs}\",\"cores\":{cores},\
-                 \"jobs\":{jobs},\"secs\":{secs:.4},\"jobs1_secs\":{jobs1_secs:.4},\
-                 \"speedup\":{:.3},\"critical_path_secs\":{:.4},\"seq_stratum_secs\":{seq_total:.4},\
-                 \"transferred_nodes\":{}}}",
-                jobs1_secs / secs,
-                a.stats.critical_path_time.as_secs_f64(),
-                a.stats.transferred_nodes,
             );
         }
     }

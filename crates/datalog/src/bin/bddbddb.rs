@@ -4,7 +4,7 @@
 //!
 //! ```console
 //! bddbddb program.datalog [--facts DIR] [--out DIR] [--naive] [--order SPEC]
-//!         [--reorder] [--jobs N] [--bdd-cache DIR] [--stats] [--query ATOM]
+//!         [--reorder] [--bdd-cache DIR] [--stats] [--query ATOM]
 //! ```
 //!
 //! For every `input` relation `R`, tuples are read from `DIR/R.tuples`
@@ -101,14 +101,6 @@ fn run() -> Result<ExitCode, CliError> {
                 options.order = Some(args.next().ok_or_else(|| usage("--order needs a spec"))?)
             }
             "--reorder" => options.reorder = true,
-            "--jobs" => {
-                options.jobs = args
-                    .next()
-                    .ok_or_else(|| usage("--jobs needs a count"))?
-                    .parse::<usize>()
-                    .map_err(|e| usage(format!("--jobs: {e}")))?
-                    .max(1)
-            }
             "--stats" => show_stats = true,
             "--query" => query = Some(args.next().ok_or_else(|| usage("--query needs an atom"))?),
             "--check" => check = true,
@@ -124,7 +116,7 @@ fn run() -> Result<ExitCode, CliError> {
             },
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: bddbddb PROGRAM.datalog [--facts DIR] [--out DIR] [--naive] [--order SPEC] [--reorder] [--jobs N] [--bdd-cache DIR] [--stats] [--query ATOM] [--check] [--deny-warnings] [--format text|json]"
+                    "usage: bddbddb PROGRAM.datalog [--facts DIR] [--out DIR] [--naive] [--order SPEC] [--reorder] [--bdd-cache DIR] [--stats] [--query ATOM] [--check] [--deny-warnings] [--format text|json]"
                 );
                 return Ok(ExitCode::SUCCESS);
             }
@@ -244,7 +236,7 @@ fn run() -> Result<ExitCode, CliError> {
         );
     }
     if show_stats {
-        print_stratum_stats(&stats);
+        eprint!("{}", stats.stratum_summary());
         let bs = engine.manager().stats();
         eprintln!(
             "op caches: {:.1} MiB",
@@ -292,33 +284,6 @@ fn run() -> Result<ExitCode, CliError> {
         }
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// Per-stratum timing summary: the slowest strata, the critical path
-/// through the stratum DAG, and (for parallel solves) the node traffic
-/// between the main manager and the workers.
-fn print_stratum_stats(stats: &whale_datalog::SolveStats) {
-    let total: std::time::Duration = stats.stratum_times.iter().sum();
-    let mut by_time: Vec<(usize, std::time::Duration)> =
-        stats.stratum_times.iter().copied().enumerate().collect();
-    by_time.sort_by_key(|e| std::cmp::Reverse(e.1));
-    eprintln!(
-        "strata: {} solved in {total:?} total, critical path {:?}",
-        stats.stratum_times.len(),
-        stats.critical_path_time
-    );
-    for (ix, t) in by_time.iter().take(5) {
-        if t.is_zero() {
-            break;
-        }
-        eprintln!("  stratum {ix:<4} {t:?}");
-    }
-    if stats.transferred_nodes > 0 {
-        eprintln!(
-            "  {} BDD nodes shipped between managers",
-            stats.transferred_nodes
-        );
-    }
 }
 
 fn read_tuples(path: &Path) -> Result<Vec<Vec<u64>>, Box<dyn std::error::Error>> {

@@ -14,7 +14,6 @@ use crate::magic;
 use crate::plan::{PlanContext, RulePlan};
 use crate::program::Program;
 use crate::relation::RelationState;
-use crate::schedule;
 use crate::DatalogError;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -26,7 +25,9 @@ use whale_bdd::{Bdd, BddManager, BddManagerOptions, CacheStats, DomainId, Domain
 pub struct EngineOptions {
     /// Use semi-naive (incrementalized) evaluation for recursive components.
     /// Disable only for the ablation benchmark; naive evaluation computes
-    /// the same fixpoint more slowly.
+    /// the same fixpoint more slowly. Record: the `ablations` bench's
+    /// `engine/*` rows (EXPERIMENTS.md "Ablations") — parity on shallow
+    /// fixpoints, 4.5 s semi-naive against 12.7 s naive on sshterm 1/8.
     pub seminaive: bool,
     /// Variable-ordering string over *logical* domain names (e.g.
     /// `"N_F_I_M_VxH"`), or physical instances (`"V1_V0"`). `None` lays the
@@ -36,12 +37,21 @@ pub struct EngineOptions {
     /// fused `replace_relprod` kernel call when the rename is monotone
     /// (falling back to rename-then-join otherwise). Disable only for the
     /// ablation benchmark; the result is bit-identical either way.
+    /// Records: in `results/bench_smoke.jsonl` the fused kernel call
+    /// (`bdd/replace_relprod_fused`) beats rename-then-join
+    /// (`bdd/replace_relprod_composed`) by 1.6–1.7x; end to end, the
+    /// `scaling_paths/layersN_*_unfused` rows of
+    /// `results/bench_scaling.jsonl` sit within run-to-run noise of the
+    /// fused rows, either side winning at some depth.
     pub fuse_renames: bool,
     /// Run dynamic variable reordering (sifting) between fixpoint rounds
     /// once the node table outgrows an adaptive threshold. The fixpoint is
     /// unchanged — only BDD sizes move; reorder effort is reported in
     /// [`SolveStats::reorder_runs`], [`SolveStats::reorder_time`] and
-    /// [`SolveStats::reorder_delta_nodes`].
+    /// [`SolveStats::reorder_delta_nodes`]. Off by default. Record:
+    /// `reorder/tiny` in `results/bench_smoke.jsonl`, where two passes
+    /// take over 90% of the solve's time to remove about 1 500 nodes; it pays
+    /// only when a poor initial order blows up the table (DESIGN.md §5f).
     pub reorder: bool,
     /// Memoize whole relation-level operations (atom filters/renames and
     /// rename-join-project steps) in the kernel's GC-safe client cache,
@@ -49,22 +59,17 @@ pub struct EngineOptions {
     /// Semi-naive rounds re-derive many joins whose operand relations did
     /// not change that round; this skips them outright. Hit counters are
     /// reported in [`SolveStats::rel_cache`]. Disable only for the
-    /// ablation benchmark; results are bit-identical either way.
+    /// ablation benchmark; results are bit-identical either way. Record:
+    /// `cache_probe 9` (`cache_probe/layers9_memo` against `_nomemo`,
+    /// EXPERIMENTS.md "Op caches that fit") — the memo cuts replace
+    /// lookups by 11% at layers 9 and 17% at layers 12, and the layers-9
+    /// solve falls from 0.71 to 0.56 s.
     pub rel_cache: bool,
-    /// Worker threads for the parallel solver. `1` (the default) runs the
-    /// sequential path unchanged; `N > 1` walks the SCC condensation with
-    /// a pool of `N` workers, each owning a private BDD manager — ready
-    /// strata run concurrently and a recursive stratum's per-round rule
-    /// variants fan out across the pool. Results are identical for every
-    /// value (contributions are OR-combined, which commutes, and BDDs are
-    /// canonical); speedup is bounded by the condensation's critical path,
-    /// observable via [`SolveStats::critical_path_time`].
-    pub jobs: usize,
 }
 
 /// Reordering never fires below this live-node count: tiny tables gain
 /// nothing and the pass would only churn the operation caches.
-pub(crate) const REORDER_MIN_NODES: usize = 2048;
+const REORDER_MIN_NODES: usize = 2048;
 
 impl Default for EngineOptions {
     fn default() -> Self {
@@ -74,7 +79,6 @@ impl Default for EngineOptions {
             fuse_renames: true,
             reorder: false,
             rel_cache: true,
-            jobs: 1,
         }
     }
 }
@@ -114,18 +118,9 @@ pub struct SolveStats {
     pub rel_cache: CacheStats,
     /// Wall-clock time spent solving each stratum, indexed like the
     /// condensation's topological order ([`SolveStats::strata`] entries;
-    /// strata with no rules record ~zero). Under the parallel solver a
-    /// stratum's clock runs from dispatch to rendezvous, so concurrent
-    /// strata overlap and the sum can exceed the solve's wall time.
+    /// strata with no rules record ~zero). Strata run one after another,
+    /// so the sum never exceeds [`SolveStats::solve_time`].
     pub stratum_times: Vec<Duration>,
-    /// Length of the weighted critical path through the stratum dependency
-    /// DAG — the Amdahl floor no worker count can beat. The gap between
-    /// this and the stratum-time sum is the available DAG-level
-    /// parallelism.
-    pub critical_path_time: Duration,
-    /// Total BDD nodes shipped between managers (worker deliveries plus
-    /// results shipped back). Zero when `jobs` ≤ 1.
-    pub transferred_nodes: u64,
     /// Wall-clock time of the whole solve.
     pub solve_time: Duration,
     /// Magic-set rules (the query seed plus magic-definition rules) in the
@@ -151,22 +146,35 @@ pub struct SolveStats {
     pub full_fallback: bool,
 }
 
+impl SolveStats {
+    /// The stratum-level timing summary the CLIs print under `--stats`:
+    /// a `strata:` line with the count and summed time, then the five
+    /// slowest strata that took measurable time, one line each.
+    pub fn stratum_summary(&self) -> String {
+        let total: Duration = self.stratum_times.iter().sum();
+        let mut out = format!(
+            "strata: {} solved in {total:?} total\n",
+            self.stratum_times.len()
+        );
+        let mut by_time: Vec<(usize, Duration)> =
+            self.stratum_times.iter().copied().enumerate().collect();
+        by_time.sort_by_key(|e| std::cmp::Reverse(e.1));
+        for (ix, t) in by_time.iter().take(5) {
+            if t.is_zero() {
+                break;
+            }
+            out.push_str(&format!("  stratum {ix:<4} {t:?}\n"));
+        }
+        out
+    }
+}
+
 /// Counter deltas `now - base`, pairing two snapshots of one cache.
-pub(crate) fn cache_delta(now: CacheStats, base: CacheStats) -> CacheStats {
+fn cache_delta(now: CacheStats, base: CacheStats) -> CacheStats {
     CacheStats {
         hits: now.hits - base.hits,
         misses: now.misses - base.misses,
         evictions: now.evictions - base.evictions,
-    }
-}
-
-/// Counter sum, for folding worker-manager cache activity into the solve's
-/// totals.
-pub(crate) fn cache_add(a: CacheStats, b: CacheStats) -> CacheStats {
-    CacheStats {
-        hits: a.hits + b.hits,
-        misses: a.misses + b.misses,
-        evictions: a.evictions + b.evictions,
     }
 }
 
@@ -194,12 +202,12 @@ pub struct QueryResult {
 ///
 /// See the crate-level example for end-to-end use.
 pub struct Engine {
-    pub(crate) program: Program,
-    pub(crate) options: EngineOptions,
-    pub(crate) mgr: BddManager,
+    program: Program,
+    options: EngineOptions,
+    mgr: BddManager,
     /// Physical instances per logical domain (scratch excluded).
     phys: Vec<Vec<DomainId>>,
-    pub(crate) rel: Vec<RelationState>,
+    rel: Vec<RelationState>,
     name_maps: HashMap<usize, HashMap<String, u64>>,
     name_lists: HashMap<usize, Vec<String>>,
     /// Construction-time ordering groups as the user's tokens (logical or
@@ -207,18 +215,11 @@ pub struct Engine {
     /// [`Engine::current_order`] renders the sifted group permutation.
     order_tokens: Vec<Vec<String>>,
     order_phys: Vec<Vec<String>>,
-    /// Construction inputs retained so the parallel scheduler can build
-    /// worker managers with the identical domain layout (same specs, same
-    /// order ⇒ same variable numbering ⇒ snapshots transfer one-to-one).
-    pub(crate) specs: Vec<DomainSpec>,
-    pub(crate) order_spec: OrderSpec,
-    pub(crate) bdd_opts: BddManagerOptions,
     stats: SolveStats,
-    /// Rule evaluation against the engine's own manager (the sequential
-    /// path; workers build their own — see [`crate::schedule`]).
-    pub(crate) eval: RuleEval,
+    /// Rule evaluation against the engine's own manager.
+    eval: RuleEval,
     /// Per-rule cumulative (time, applications), rebuilt by each solve.
-    pub(crate) rule_profile: std::cell::RefCell<Vec<(std::time::Duration, usize)>>,
+    rule_profile: std::cell::RefCell<Vec<(std::time::Duration, usize)>>,
     /// Whether a fixpoint has been computed (by [`Engine::solve`] or
     /// restored via [`Engine::warm_start`]); gates delta tracking and the
     /// incremental path.
@@ -335,9 +336,6 @@ impl Engine {
             name_lists: HashMap::new(),
             order_tokens,
             order_phys,
-            specs,
-            order_spec: order,
-            bdd_opts,
             stats: SolveStats::default(),
             eval,
             rule_profile: std::cell::RefCell::new(Vec::new()),
@@ -836,12 +834,8 @@ impl Engine {
         };
         *self.rule_profile.borrow_mut() =
             vec![(std::time::Duration::ZERO, 0usize); self.program.rules.len()];
-        if self.options.jobs > 1 {
-            schedule::solve_parallel(self, &prep.plans, &prep.comp_of, &prep.comps, &mut stats)?;
-        } else {
-            self.solve_sequential(&prep.plans, &prep.comp_of, &prep.comps, &mut stats);
-        }
-        self.finish_stats(&prep, &mut stats, &cache_base, solve_t0);
+        self.solve_sequential(&prep.plans, &prep.comp_of, &prep.comps, &mut stats);
+        self.finish_stats(&mut stats, &cache_base, solve_t0);
         self.solved = true;
         self.stats = stats.clone();
         Ok(stats)
@@ -905,43 +899,21 @@ impl Engine {
         })
     }
 
-    /// Shared back half of the solve paths: critical path, peak nodes,
-    /// per-solve cache deltas, optional rule-timing dump, wall time.
+    /// Shared back half of the solve paths: peak nodes, per-solve cache
+    /// deltas, optional rule-timing dump, wall time.
     fn finish_stats(
         &self,
-        prep: &PreparedSolve,
         stats: &mut SolveStats,
         cache_base: &whale_bdd::BddStats,
         solve_t0: std::time::Instant,
     ) {
-        stats.critical_path_time = schedule::critical_path(
-            &stats.stratum_times,
-            &schedule::comp_preds(&prep.plans, &prep.comp_of, prep.comps.len()),
-        );
         let bdd_stats = self.mgr.stats();
-        stats.peak_live_nodes = stats.peak_live_nodes.max(bdd_stats.peak_live_nodes);
-        // The main manager's deltas; worker-manager activity (parallel path)
-        // is already accumulated in `stats` by the scheduler.
-        stats.apply_cache = cache_add(
-            stats.apply_cache,
-            cache_delta(bdd_stats.apply_cache, cache_base.apply_cache),
-        );
-        stats.ite_cache = cache_add(
-            stats.ite_cache,
-            cache_delta(bdd_stats.ite_cache, cache_base.ite_cache),
-        );
-        stats.appex_cache = cache_add(
-            stats.appex_cache,
-            cache_delta(bdd_stats.appex_cache, cache_base.appex_cache),
-        );
-        stats.replace_cache = cache_add(
-            stats.replace_cache,
-            cache_delta(bdd_stats.replace_cache, cache_base.replace_cache),
-        );
-        stats.rel_cache = cache_add(
-            stats.rel_cache,
-            cache_delta(bdd_stats.client_cache, cache_base.client_cache),
-        );
+        stats.peak_live_nodes = bdd_stats.peak_live_nodes;
+        stats.apply_cache = cache_delta(bdd_stats.apply_cache, cache_base.apply_cache);
+        stats.ite_cache = cache_delta(bdd_stats.ite_cache, cache_base.ite_cache);
+        stats.appex_cache = cache_delta(bdd_stats.appex_cache, cache_base.appex_cache);
+        stats.replace_cache = cache_delta(bdd_stats.replace_cache, cache_base.replace_cache);
+        stats.rel_cache = cache_delta(bdd_stats.client_cache, cache_base.client_cache);
         if std::env::var_os("WHALE_RULE_TIMING").is_some() {
             let prof = self.rule_profile.borrow();
             let mut rows: Vec<(usize, std::time::Duration, usize)> = prof
@@ -1015,10 +987,7 @@ impl Engine {
     ///    negation): the whole solution is discarded and recomputed, as
     ///    [`Engine::solve`] would ([`SolveStats::full_fallback`] is set).
     ///
-    /// With no prior solve this is exactly [`Engine::solve`]. The
-    /// incremental tiers always run on the sequential path — deltas are
-    /// small, and the parallel scheduler's per-worker manager setup costs
-    /// more than it wins (results are byte-identical either way). Answers
+    /// With no prior solve this is exactly [`Engine::solve`]. Answers
     /// after this call are byte-identical to a from-scratch
     /// [`Engine::solve`] on the same base facts.
     ///
@@ -1061,7 +1030,7 @@ impl Engine {
             // No effective delta: the solution stands as-is.
             stats.strata_skipped = ncomps;
             stats.stratum_times = vec![Duration::ZERO; ncomps];
-            self.finish_stats(&prep, &mut stats, &cache_base, solve_t0);
+            self.finish_stats(&mut stats, &cache_base, solve_t0);
             self.stats = stats.clone();
             return Ok(stats);
         }
@@ -1118,7 +1087,7 @@ impl Engine {
             // Tier 1: monotone additions resume the semi-naive fixpoint.
             self.resume_additions(&prep, &affected, adds, &mut stats);
         }
-        self.finish_stats(&prep, &mut stats, &cache_base, solve_t0);
+        self.finish_stats(&mut stats, &cache_base, solve_t0);
         self.stats = stats.clone();
         Ok(stats)
     }
@@ -1271,7 +1240,7 @@ impl Engine {
     /// transformation (see `crate::magic`) into a derived program whose
     /// fixpoint touches only the query-reachable slice, that program is
     /// solved in a private engine under this engine's options (ordering,
-    /// semi-naive, reordering, relation cache, `jobs`), and the matching
+    /// semi-naive, reordering, relation cache), and the matching
     /// tuples are read back. Input relations are copied across by BDD
     /// snapshot, so facts loaded here — including relations injected with
     /// [`Engine::set_relation_bdd`] — feed the query solve unchanged.
@@ -1385,7 +1354,7 @@ impl Engine {
         })
     }
 
-    /// The sequential solve loop — exactly the pre-parallel engine, plus
+    /// The full solve loop: every stratum in topological order, with
     /// per-stratum wall-clock capture (strata with no rules record their
     /// ~zero bookkeeping time so `stratum_times` stays index-parallel with
     /// the condensation).
@@ -1464,7 +1433,7 @@ impl Engine {
     /// delta BDDs — stay valid; the pass rewrites nodes in place). After a
     /// pass the threshold doubles over the sifted size so a table that has
     /// settled stops paying for reordering.
-    pub(crate) fn maybe_reorder(&self, stats: &mut SolveStats, reorder_at: &mut usize) {
+    fn maybe_reorder(&self, stats: &mut SolveStats, reorder_at: &mut usize) {
         if !self.options.reorder || self.mgr.stats().live_nodes < *reorder_at {
             return;
         }
@@ -1602,15 +1571,14 @@ impl Engine {
     /// runtime, and this check is what lets them cost nothing. Fact rules
     /// (no positive atoms) are never skipped, and negated atoms don't
     /// count: an empty negated source is the universal complement.
-    pub(crate) fn empty_positive_source(&self, plan: &RulePlan) -> bool {
+    fn empty_positive_source(&self, plan: &RulePlan) -> bool {
         plan.positive.iter().any(|a| self.rel[a.rel].bdd.is_zero())
     }
 
     /// Applies one rule plan against the engine's own relation table
     /// (negative-atom sources come from `self.rel`) with per-rule
-    /// profiling. Workers bypass this wrapper and call
-    /// [`RuleEval::eval_rule`] with mirrored sources directly.
-    pub(crate) fn eval_rule(&self, plan: &RulePlan, srcs: &[Bdd], order: &[usize]) -> Bdd {
+    /// profiling.
+    fn eval_rule(&self, plan: &RulePlan, srcs: &[Bdd], order: &[usize]) -> Bdd {
         let neg_srcs: Vec<Bdd> = plan
             .negative
             .iter()

@@ -1,21 +1,15 @@
 //! Rule evaluation against one BDD manager.
 //!
-//! [`RuleEval`] is the per-manager half of the solver, split out of the
-//! monolithic `Engine` so the parallel scheduler can run rule applications
-//! on worker threads: each worker owns a private [`BddManager`] and its own
-//! `RuleEval`, while the `Engine` keeps one for the sequential path. The
-//! struct holds exactly the state a rule application touches — the manager,
-//! the scratch-instance map for rename cycles, the fuse/memoize flags, and
-//! the interned memo-tag table — and none of the global solve state
-//! (relation values, strata bookkeeping, statistics), which stays with
-//! whoever orchestrates the fixpoint.
+//! [`RuleEval`] holds exactly the state a rule application touches — the
+//! manager, the scratch-instance map for rename cycles, the fuse/memoize
+//! flags, and the interned memo-tag table — and none of the global solve
+//! state (relation values, strata bookkeeping, statistics), which stays
+//! with the `Engine` that orchestrates the fixpoint.
 //!
 //! All sources are passed in explicitly: positive atoms through `srcs`
 //! (parallel to the plan's join order machinery) and negative atoms through
-//! `neg_srcs` (parallel to `plan.negative`). A worker feeds these from its
-//! mirrored relation snapshots; the sequential engine from its live
-//! relation table. Results are pure functions of the sources, which is what
-//! makes the parallel solve deterministic.
+//! `neg_srcs` (parallel to `plan.negative`). Results are pure functions of
+//! the sources.
 
 use crate::ast::ConstraintOp;
 use crate::plan::{AtomPlan, ConstraintPlan, Operand, RulePlan};
@@ -78,10 +72,6 @@ impl RuleEval {
             rel_cache,
             memo_tags: RefCell::new(HashMap::new()),
         }
-    }
-
-    pub(crate) fn scratch_map(&self) -> &HashMap<DomainId, DomainId> {
-        &self.scratch_map
     }
 
     /// Interns `op` to its stable client-cache tag.

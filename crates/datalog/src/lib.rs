@@ -53,7 +53,6 @@ mod parser;
 mod plan;
 mod program;
 mod relation;
-mod schedule;
 
 pub use analyze::{Analysis, RuleCost};
 pub use ast::{Atom, ConstraintOp, DomainDecl, Literal, RelationDecl, RelationKind, Rule, Term};

@@ -1,7 +1,7 @@
 //! The incremental-solve oracle: random `add_facts`/`retract_facts`
 //! delta sequences applied through [`Engine::solve_incremental`] must be
-//! byte-identical to a from-scratch solve over the final fact set, for
-//! every combination of worker count and dynamic reordering.
+//! byte-identical to a from-scratch solve over the final fact set, with
+//! dynamic reordering off and on.
 //!
 //! The program is built to exercise every incremental tier: a recursive
 //! transitive closure (semi-naive resume), a stratified negation over it
@@ -37,10 +37,9 @@ colored(x) :- color(x).
 
 const OUTPUTS: [&str; 5] = ["path", "reach", "node", "unreached", "colored"];
 
-fn make_engine(jobs: usize, reorder: bool) -> Engine {
+fn make_engine(reorder: bool) -> Engine {
     let program = Program::parse(PROGRAM).unwrap();
     let options = EngineOptions {
-        jobs,
         reorder,
         ..EngineOptions::default()
     };
@@ -52,10 +51,9 @@ fn make_engine(jobs: usize, reorder: bool) -> Engine {
 fn reference_solve(
     edges: &BTreeSet<(u64, u64)>,
     colors: &BTreeSet<u64>,
-    jobs: usize,
     reorder: bool,
 ) -> (Vec<Vec<Vec<u64>>>, SolveStats) {
-    let mut e = make_engine(jobs, reorder);
+    let mut e = make_engine(reorder);
     e.add_facts("edge", edges.iter().map(|&(s, d)| vec![s, d]))
         .unwrap();
     e.add_facts("color", colors.iter().map(|&c| vec![c]))
@@ -74,21 +72,19 @@ fn snapshot(e: &Engine) -> Vec<Vec<Vec<u64>>> {
 #[test]
 fn random_delta_sequences_match_from_scratch() {
     for seed in [11, 12, 13] {
-        for jobs in [1, 2] {
-            for reorder in [false, true] {
-                check_one(seed, jobs, reorder);
-            }
+        for reorder in [false, true] {
+            check_one(seed, reorder);
         }
     }
 }
 
-fn check_one(seed: u64, jobs: usize, reorder: bool) {
-    let tag = format!("seed={seed} jobs={jobs} reorder={reorder}");
+fn check_one(seed: u64, reorder: bool) {
+    let tag = format!("seed={seed} reorder={reorder}");
     let mut rng = Rng::seed_from_u64(seed);
     let mut edges: BTreeSet<(u64, u64)> = BTreeSet::new();
     let mut colors: BTreeSet<u64> = BTreeSet::new();
 
-    let mut e = make_engine(jobs, reorder);
+    let mut e = make_engine(reorder);
     for _ in 0..12 {
         let t = (rng.below(16), rng.below(16));
         if edges.insert(t) {
@@ -126,7 +122,7 @@ fn check_one(seed: u64, jobs: usize, reorder: bool) {
 
         let stats = e.solve_incremental().unwrap();
         assert!(stats.incremental, "{tag} step {step}");
-        let (expected, _) = reference_solve(&edges, &colors, jobs, reorder);
+        let (expected, _) = reference_solve(&edges, &colors, reorder);
         assert_eq!(snapshot(&e), expected, "{tag} step {step}");
     }
 }
@@ -140,7 +136,7 @@ fn monotone_additions_resume_without_fallback() {
         let mut rng = Rng::seed_from_u64(seed);
         let mut edges: BTreeSet<(u64, u64)> = BTreeSet::new();
         let mut colors: BTreeSet<u64> = BTreeSet::new();
-        let mut e = make_engine(1, false);
+        let mut e = make_engine(false);
         for _ in 0..10 {
             let t = (rng.below(12), rng.below(12));
             if edges.insert(t) {
@@ -158,7 +154,7 @@ fn monotone_additions_resume_without_fallback() {
         assert!(stats.incremental && !stats.full_fallback, "seed {seed}");
         assert!(stats.strata_skipped > 0, "seed {seed}: {stats:?}");
 
-        let (expected, cold) = reference_solve(&edges, &colors, 1, false);
+        let (expected, cold) = reference_solve(&edges, &colors, false);
         assert_eq!(snapshot(&e), expected, "seed {seed}");
         assert!(
             stats.rule_applications < cold.rule_applications,
@@ -174,7 +170,7 @@ fn monotone_additions_resume_without_fallback() {
 /// and still land on exactly the from-scratch result.
 #[test]
 fn retraction_through_negation_falls_back_and_stays_correct() {
-    let mut e = make_engine(1, false);
+    let mut e = make_engine(false);
     let mut edges: BTreeSet<(u64, u64)> = [(0, 1), (1, 2), (2, 3), (5, 6)].into();
     for &(s, d) in &edges {
         e.add_fact("edge", &[s, d]).unwrap();
@@ -185,7 +181,7 @@ fn retraction_through_negation_falls_back_and_stays_correct() {
     e.retract_fact("edge", &[1, 2]).unwrap();
     let stats = e.solve_incremental().unwrap();
     assert!(stats.incremental && stats.full_fallback, "{stats:?}");
-    let (expected, _) = reference_solve(&edges, &BTreeSet::new(), 1, false);
+    let (expected, _) = reference_solve(&edges, &BTreeSet::new(), false);
     assert_eq!(snapshot(&e), expected);
     // 2 is no longer reachable from 0, so it reappears in `unreached`.
     assert!(e.relation_tuples("unreached").unwrap().contains(&vec![2]));
@@ -195,7 +191,7 @@ fn retraction_through_negation_falls_back_and_stays_correct() {
 /// work: everything is skipped and the result is untouched.
 #[test]
 fn empty_delta_skips_every_stratum() {
-    let mut e = make_engine(1, false);
+    let mut e = make_engine(false);
     e.add_fact("edge", &[0, 1]).unwrap();
     e.add_fact("edge", &[1, 2]).unwrap();
     e.solve().unwrap();
@@ -218,7 +214,7 @@ fn sequential_solves_match_fresh_engines() {
         let edges: BTreeSet<(u64, u64)> = (0..14).map(|_| (rng.below(16), rng.below(16))).collect();
         let colors: BTreeSet<u64> = (0..3).map(|_| rng.below(16)).collect();
 
-        let mut resident = make_engine(1, false);
+        let mut resident = make_engine(false);
         resident
             .add_facts("edge", edges.iter().map(|&(s, d)| vec![s, d]))
             .unwrap();
@@ -228,7 +224,7 @@ fn sequential_solves_match_fresh_engines() {
 
         for round in 0..3 {
             let stats = resident.solve().unwrap();
-            let (expected, fresh_stats) = reference_solve(&edges, &colors, 1, false);
+            let (expected, fresh_stats) = reference_solve(&edges, &colors, false);
             assert_eq!(snapshot(&resident), expected, "seed {seed} round {round}");
             assert_eq!(
                 stats.rounds, fresh_stats.rounds,

@@ -651,6 +651,46 @@ fn stats_are_populated() {
     assert!(stats.strata >= 1);
 }
 
+/// Strata run one after another, so their clocks never add up to more
+/// than the solve's own wall time, and every stratum gets an entry.
+#[test]
+fn stratum_times_sum_within_solve_time() {
+    let src = r#"
+DOMAINS
+V 16
+
+RELATIONS
+input edge (src : V, dst : V)
+output path (src : V, dst : V)
+output unreachable (src : V, dst : V)
+
+RULES
+path(x,y) :- edge(x,y).
+path(x,z) :- path(x,y), edge(y,z).
+unreachable(x,y) :- edge(x,_), edge(_,y), !path(x,y).
+"#;
+    let program = Program::parse(src).unwrap();
+    let mut e = Engine::new(program).unwrap();
+    for i in 0..12 {
+        e.add_fact("edge", &[i, i + 1]).unwrap();
+    }
+    e.add_fact("edge", &[11, 2]).unwrap();
+    let stats = e.solve().unwrap();
+    assert!(!stats.stratum_times.is_empty());
+    assert_eq!(stats.stratum_times.len(), stats.strata);
+    let total: std::time::Duration = stats.stratum_times.iter().sum();
+    assert!(
+        total <= stats.solve_time,
+        "stratum times {total:?} exceed solve time {:?}",
+        stats.solve_time
+    );
+    let summary = stats.stratum_summary();
+    assert!(
+        summary.starts_with(&format!("strata: {} solved in ", stats.strata)),
+        "{summary}"
+    );
+}
+
 #[test]
 fn exact_count_matches_f64_count() {
     let e = solve(

@@ -53,16 +53,11 @@ TESTKIT_BENCH_ITERS=3 TESTKIT_BENCH_WARMUP=1 \
 # gate: the appex hit rate of the memo configuration must not fall below
 # the committed floor (measured 0.091 at layers 9; see EXPERIMENTS.md).
 ./target/release/cache_probe 9 --check-floor 0.085 >> results/bench_smoke.jsonl
-# One parallel-solver record (layers 4, jobs=1 vs jobs=4 wall time plus
-# speedup) appended likewise. The probe also asserts the two runs produce
-# identical relations, so this doubles as a determinism smoke gate; the
-# record's `cores` field keeps single-core hosts honest.
-./target/release/par_probe 4 >> results/bench_smoke.jsonl
 # One demand-driven query record (tiny config) appended likewise: full CS
 # solve vs `solve_query` on the single-variable points-to shape. The probe
 # asserts the query answers match the full solve, evaluate strictly fewer
-# rule applications, and are byte-identical across a repeat run and a
-# 2-worker run — a magic-set correctness and determinism gate.
+# rule applications, and are byte-identical across a repeat run — a
+# magic-set correctness and determinism gate.
 ./target/release/query_probe >> results/bench_smoke.jsonl
 # One resident-engine record (tiny config) appended likewise: cold solve
 # vs io-v2 warm start vs incremental delta re-solve. The probe asserts
@@ -71,15 +66,15 @@ TESTKIT_BENCH_ITERS=3 TESTKIT_BENCH_WARMUP=1 \
 # while matching a from-scratch solve byte for byte — the `whale serve`
 # performance contract.
 ./target/release/serve_probe >> results/bench_smoke.jsonl
-# A jobs=2 smoke solve through the bddbddb CLI: the parallel scheduler,
-# the per-worker managers and the snapshot transfer path all get exercised
-# end to end on every verify run.
-par_dir=$(mktemp -d)
-printf 'DOMAINS\nV 64\nRELATIONS\ninput edge (s : V, d : V)\noutput path (s : V, d : V)\nRULES\npath(x,y) :- edge(x,y).\npath(x,z) :- path(x,y), edge(y,z).\n' > "$par_dir/tc.datalog"
-printf '0 1\n1 2\n2 3\n3 0\n' > "$par_dir/edge.tuples"
-./target/release/bddbddb "$par_dir/tc.datalog" --facts "$par_dir" --out "$par_dir" --jobs 2 --stats
-grep -q '^0 1$' "$par_dir/path.tuples"
-rm -rf "$par_dir"
+# A smoke solve through the bddbddb CLI: tuple files in, tuple files
+# out, and the `--stats` stratum summary on stderr.
+tc_dir=$(mktemp -d)
+printf 'DOMAINS\nV 64\nRELATIONS\ninput edge (s : V, d : V)\noutput path (s : V, d : V)\nRULES\npath(x,y) :- edge(x,y).\npath(x,z) :- path(x,y), edge(y,z).\n' > "$tc_dir/tc.datalog"
+printf '0 1\n1 2\n2 3\n3 0\n' > "$tc_dir/edge.tuples"
+./target/release/bddbddb "$tc_dir/tc.datalog" --facts "$tc_dir" --out "$tc_dir" --stats 2> "$tc_dir/stats.txt"
+grep -q '^0 1$' "$tc_dir/path.tuples"
+grep -q '^strata: ' "$tc_dir/stats.txt"
+rm -rf "$tc_dir"
 echo "ci.sh: smoke bench written to results/bench_smoke.jsonl"
 
 # A stdio daemon smoke through the whale CLI: a query batch, one
@@ -133,7 +128,7 @@ echo "ci.sh: analyzer fixture gate OK"
 # Sanitizer pass: the kernel and engine suites again, with the BDD
 # invariant sanitizer compiled in and armed (unique-table canonicity,
 # level ordering, free-list/cache audits at every GC, reorder, snapshot
-# restore and OR-merge rendezvous — see DESIGN.md §5j).
+# and snapshot restore — see DESIGN.md §5j).
 cargo test -q -p whale-bdd -p whale-datalog --features sanitize --offline
 echo "ci.sh: sanitize test pass OK"
 

@@ -47,7 +47,6 @@ analyze options:
                 cross products, expensive joins, duplicate/subsumed rules)
   --deny-warnings  with --lint, exit nonzero if any warning fires
   --format F    lint output format: text (default) or json
-  --jobs N      solve with N worker threads (per-worker BDD managers)
   --stats       print BDD node-table, op-cache and per-stratum statistics
 
 serve options:
@@ -56,7 +55,6 @@ serve options:
   --socket PATH         listen on a Unix socket instead of stdio
   --cache-dir DIR       warm-start cache of io v2 BDD dumps, keyed by a
                         hash of the fact stream; written on clean shutdown
-  --jobs N              worker threads for the initial cold solve
   requests are newline-delimited JSON; see DESIGN.md section 5k
 
 taint specs are line-oriented:
@@ -117,33 +115,6 @@ fn print_bdd_stats(s: &whale::bdd::BddStats) {
     }
 }
 
-/// Prints the solve's stratum-level timing: total work, the critical
-/// path through the stratum DAG (the parallel speedup ceiling), the
-/// slowest strata, and inter-manager node traffic for parallel solves.
-fn print_solve_stats(s: &whale::datalog::SolveStats) {
-    let total: std::time::Duration = s.stratum_times.iter().sum();
-    println!(
-        "strata: {} solved in {total:?} total, critical path {:?}",
-        s.stratum_times.len(),
-        s.critical_path_time
-    );
-    let mut by_time: Vec<(usize, std::time::Duration)> =
-        s.stratum_times.iter().copied().enumerate().collect();
-    by_time.sort_by_key(|e| std::cmp::Reverse(e.1));
-    for (ix, t) in by_time.iter().take(5) {
-        if t.is_zero() {
-            break;
-        }
-        println!("  stratum {ix:<4} {t:?}");
-    }
-    if s.transferred_nodes > 0 {
-        println!(
-            "  {} BDD nodes shipped between managers",
-            s.transferred_nodes
-        );
-    }
-}
-
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
@@ -179,7 +150,6 @@ struct Cli {
     prints: Vec<String>,
     taint_spec: Option<PathBuf>,
     show_stats: bool,
-    jobs: usize,
     query: Option<String>,
     lint: bool,
     deny_warnings: bool,
@@ -196,7 +166,6 @@ fn parse_flags(args: &mut impl Iterator<Item = String>) -> Result<Cli, CliError>
         prints: Vec::new(),
         taint_spec: None,
         show_stats: false,
-        jobs: 1,
         query: None,
         lint: false,
         deny_warnings: false,
@@ -207,14 +176,6 @@ fn parse_flags(args: &mut impl Iterator<Item = String>) -> Result<Cli, CliError>
     let mut format_seen = false;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--jobs" => {
-                cli.jobs = args
-                    .next()
-                    .ok_or_else(|| usage("--jobs needs a count"))?
-                    .parse::<usize>()
-                    .map_err(|e| usage(format!("--jobs: {e}")))?
-                    .max(1)
-            }
             "--factor" => cli.factor = true,
             "--ci" => cli.mode = Mode::Ci,
             "--otf" => cli.mode = Mode::Otf,
@@ -387,12 +348,6 @@ fn run() -> Result<(), CliError> {
 /// solved here: `Server::new` may satisfy the solve from the warm-start
 /// cache, and otherwise the first request pays for it.
 fn run_serve(cli: &Cli, facts: &Facts) -> Result<(), CliError> {
-    let opts = |order: &str| {
-        Some(EngineOptions {
-            jobs: cli.jobs,
-            ..default_options(order)
-        })
-    };
     let engine = match cli.mode {
         Mode::Ci | Mode::Otf => {
             let cg_mode = if cli.mode == Mode::Otf {
@@ -400,12 +355,12 @@ fn run_serve(cli: &Cli, facts: &Facts) -> Result<(), CliError> {
             } else {
                 CallGraphMode::Cha
             };
-            whale::core::prepare_context_insensitive(facts, cli.typed, cg_mode, opts(CI_ORDER))?
+            whale::core::prepare_context_insensitive(facts, cli.typed, cg_mode, None)?
         }
         Mode::Cs => {
             let cg = CallGraph::from_cha(facts)?;
             let numbering = number_contexts(&cg);
-            whale::core::prepare_context_sensitive(facts, &cg, &numbering, opts(CS_ORDER))?
+            whale::core::prepare_context_sensitive(facts, &cg, &numbering, None)?
         }
         _ => return Err(usage(
             "serve supports --ci, --otf and --cs (escape/races/taint/types are one-shot analyses)",
@@ -422,15 +377,6 @@ fn run_serve(cli: &Cli, facts: &Facts) -> Result<(), CliError> {
 #[allow(clippy::too_many_lines)]
 fn run_analyze(cli: &Cli, facts: &Facts) -> Result<(), CliError> {
     let t0 = std::time::Instant::now();
-    // Layer the worker count on each analysis's own defaults;
-    // `None` keeps the analysis's sequential path untouched.
-    let jobs = cli.jobs;
-    let opts = |order: &str| {
-        (jobs > 1).then(|| EngineOptions {
-            jobs,
-            ..default_options(order)
-        })
-    };
     let mut engine = match cli.mode {
         Mode::Ci | Mode::Otf => {
             let cg_mode = if cli.mode == Mode::Otf {
@@ -438,7 +384,7 @@ fn run_analyze(cli: &Cli, facts: &Facts) -> Result<(), CliError> {
             } else {
                 CallGraphMode::Cha
             };
-            let a = context_insensitive(facts, cli.typed, cg_mode, opts(CI_ORDER))?;
+            let a = context_insensitive(facts, cli.typed, cg_mode, None)?;
             println!(
                 "vP: {} tuples, hP: {} tuples ({:?}, {} fixpoint rounds)",
                 a.count("vP")?,
@@ -457,18 +403,18 @@ fn run_analyze(cli: &Cli, facts: &Facts) -> Result<(), CliError> {
                 if numbering.clamped { " (clamped)" } else { "" }
             );
             if cli.mode == Mode::Cs {
-                let a = context_sensitive(facts, &cg, &numbering, opts(CS_ORDER))?;
+                let a = context_sensitive(facts, &cg, &numbering, None)?;
                 println!("vPC: {:.4e} tuples ({:?})", a.count("vPC")?, t0.elapsed());
                 a.engine
             } else {
-                let a = cs_type_analysis(facts, &cg, &numbering, opts(CS_ORDER))?;
+                let a = cs_type_analysis(facts, &cg, &numbering, None)?;
                 println!("vTC: {:.4e} tuples ({:?})", a.count("vTC")?, t0.elapsed());
                 a.engine
             }
         }
         Mode::Escape => {
             let cg = CallGraph::from_cha(facts)?;
-            let esc = thread_escape(facts, &cg, opts(CS_ORDER))?;
+            let esc = thread_escape(facts, &cg, None)?;
             let (cap, escd) = esc.object_counts()?;
             let (unneeded, needed) = esc.sync_counts()?;
             println!(
@@ -479,7 +425,7 @@ fn run_analyze(cli: &Cli, facts: &Facts) -> Result<(), CliError> {
         }
         Mode::Races => {
             let cg = CallGraph::from_cha(facts)?;
-            let races = detect_races(facts, &cg, opts(RACE_ORDER))?;
+            let races = detect_races(facts, &cg, None)?;
             println!(
                 "{} racy pair(s) ({} raw tuples, {:?})",
                 races.report.pairs.len(),
@@ -515,7 +461,7 @@ fn run_analyze(cli: &Cli, facts: &Facts) -> Result<(), CliError> {
             let spec = TaintSpec::parse(&spec_src)?;
             let cg = CallGraph::from_cha(facts)?;
             let numbering = number_contexts(&cg);
-            let result = taint_analysis(facts, &cg, &numbering, &spec, opts(CS_ORDER))?;
+            let result = taint_analysis(facts, &cg, &numbering, &spec, None)?;
             println!(
                 "{} tainted flow(s) reach a sink ({:?}, {} fixpoint rounds)",
                 result.findings.len(),
@@ -542,7 +488,7 @@ fn run_analyze(cli: &Cli, facts: &Facts) -> Result<(), CliError> {
         }
     };
     if cli.show_stats {
-        print_solve_stats(&engine.stats());
+        print!("{}", engine.stats().stratum_summary());
         print_bdd_stats(&engine.manager().stats());
     }
     if cli.lint {

@@ -273,3 +273,43 @@ fn print_flag_consumes_its_value() {
     assert!(stdout.contains("\nhP:"), "{stdout}");
     std::fs::remove_file(&path).ok();
 }
+
+/// The solver is single-threaded: `--jobs` is an unknown option on both
+/// `analyze` and `serve`, a usage error like any other.
+#[test]
+fn jobs_option_is_rejected() {
+    let path = demo_file("jobs");
+    for command in ["analyze", "serve"] {
+        let out = whale()
+            .arg(command)
+            .arg(&path)
+            .args(["--jobs", "2"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{command}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown option `--jobs`"), "{stderr}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// `--stats` prints the stratum summary on stdout, next to the kernel's
+/// node-table and op-cache counters.
+#[test]
+fn stats_flag_prints_strata() {
+    let path = demo_file("stats");
+    let out = whale()
+        .args(["analyze"])
+        .arg(&path)
+        .args(["--cs", "--stats"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.lines().any(|l| l.starts_with("strata: ")),
+        "{stdout}"
+    );
+    assert!(stdout.contains("op caches:"), "{stdout}");
+    std::fs::remove_file(&path).ok();
+}

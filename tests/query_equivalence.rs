@@ -1,22 +1,19 @@
 //! Demand-driven queries against full analyses: for several synthetic
 //! workload seeds, `Engine::solve_query` on the paper's context-sensitive
 //! points-to relation and on the taint engine's relations must return
-//! exactly what a full solve plus `relation_select` returns — across
-//! worker counts and with dynamic reordering on or off — while evaluating
-//! a magic-transformed program.
+//! exactly what a full solve plus `relation_select` returns — with
+//! dynamic reordering on or off — while evaluating a magic-transformed
+//! program.
 
 use whale::ir::synth::{self, SynthConfig};
 use whale::prelude::*;
 
-fn opts(jobs: usize, reorder: bool) -> Option<EngineOptions> {
+fn opts(reorder: bool) -> Option<EngineOptions> {
     Some(EngineOptions {
-        jobs,
         reorder,
         ..default_options(CS_ORDER)
     })
 }
-
-const CONFIGS: [(usize, bool); 4] = [(1, false), (1, true), (2, false), (2, true)];
 
 #[test]
 fn cs_points_to_query_matches_full_solve() {
@@ -28,8 +25,8 @@ fn cs_points_to_query_matches_full_solve() {
         let numbering = number_contexts(&cg);
 
         // Ground truth from one full solve (full results are
-        // config-independent; tests/par_determinism.rs pins that).
-        let full = context_sensitive(&facts, &cg, &numbering, opts(1, false)).unwrap();
+        // config-independent; tests/reorder_determinism.rs pins that).
+        let full = context_sensitive(&facts, &cg, &numbering, opts(false)).unwrap();
         let mut all = full.engine.relation_tuples("vPC").unwrap();
         all.sort_unstable();
         assert!(!all.is_empty(), "seed {seed:#x}: empty vPC");
@@ -40,14 +37,11 @@ fn cs_points_to_query_matches_full_solve() {
         expect.sort_unstable();
         assert!(!expect.is_empty());
 
-        for (jobs, reorder) in CONFIGS {
-            let mut a = context_sensitive(&facts, &cg, &numbering, opts(jobs, reorder)).unwrap();
+        for reorder in [false, true] {
+            let mut a = context_sensitive(&facts, &cg, &numbering, opts(reorder)).unwrap();
             let q = a.engine.solve_query(&format!("vPC(c, {v}, h)")).unwrap();
-            assert!(q.used_magic, "seed {seed:#x} jobs={jobs} reorder={reorder}");
-            assert_eq!(
-                q.tuples, expect,
-                "seed {seed:#x} jobs={jobs} reorder={reorder}"
-            );
+            assert!(q.used_magic, "seed {seed:#x} reorder={reorder}");
+            assert_eq!(q.tuples, expect, "seed {seed:#x} reorder={reorder}");
         }
     }
 }
@@ -63,7 +57,7 @@ fn taint_query_matches_full_solve() {
         let numbering = number_contexts(&cg);
         let spec = TaintSpec::parse(&synth::injected_taint_spec(&config)).unwrap();
 
-        let full = taint_analysis(&facts, &cg, &numbering, &spec, opts(1, false)).unwrap();
+        let full = taint_analysis(&facts, &cg, &numbering, &spec, opts(false)).unwrap();
         let mut all = full.analysis.engine.relation_tuples("taintedV").unwrap();
         all.sort_unstable();
         assert!(!all.is_empty(), "seed {seed:#x}: nothing tainted");
@@ -75,18 +69,14 @@ fn taint_query_matches_full_solve() {
             .unwrap();
         expect.sort_unstable();
 
-        for (jobs, reorder) in CONFIGS {
-            let mut a =
-                taint_analysis(&facts, &cg, &numbering, &spec, opts(jobs, reorder)).unwrap();
+        for reorder in [false, true] {
+            let mut a = taint_analysis(&facts, &cg, &numbering, &spec, opts(reorder)).unwrap();
             let q = a
                 .analysis
                 .engine
                 .solve_query(&format!("taintedV(c, {v})"))
                 .unwrap();
-            assert_eq!(
-                q.tuples, expect,
-                "seed {seed:#x} jobs={jobs} reorder={reorder}"
-            );
+            assert_eq!(q.tuples, expect, "seed {seed:#x} reorder={reorder}");
         }
     }
 }
