@@ -6,6 +6,15 @@
 //! `replace`), rules are grouped by the predicate dependency graph and
 //! solved stratum by stratum, and recursive components run a semi-naive
 //! (*incrementalized*) fixpoint.
+//!
+//! One stratum driver runs every solve. It takes the strata to run and
+//! where each starts: from its base facts, or resumed from the current
+//! solution with the tuples that changed since. A full solve runs every
+//! stratum from its base facts; the three tiers of
+//! [`Engine::solve_incremental`] run the strata a fact delta can reach,
+//! resumed (additions) or from base (retractions, negation); naive
+//! evaluation is the same loop with one full application per rule and
+//! round. Every round and rule application happens in the driver.
 
 use crate::ast::{Atom, RelationKind, Term};
 use crate::eval::RuleEval;
@@ -16,7 +25,7 @@ use crate::program::Program;
 use crate::relation::RelationState;
 use crate::DatalogError;
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use whale_bdd::io::BddSnapshot;
 use whale_bdd::{Bdd, BddManager, BddManagerOptions, CacheStats, DomainId, DomainSpec, OrderSpec};
 
@@ -218,8 +227,6 @@ pub struct Engine {
     stats: SolveStats,
     /// Rule evaluation against the engine's own manager.
     eval: RuleEval,
-    /// Per-rule cumulative (time, applications), rebuilt by each solve.
-    rule_profile: std::cell::RefCell<Vec<(std::time::Duration, usize)>>,
     /// Whether a fixpoint has been computed (by [`Engine::solve`] or
     /// restored via [`Engine::warm_start`]); gates delta tracking and the
     /// incremental path.
@@ -238,6 +245,19 @@ struct PreparedSolve {
     plans: Vec<RulePlan>,
     comp_of: Vec<usize>,
     comps: Vec<Vec<usize>>,
+}
+
+/// Where [`Engine::run_strata`] starts each stratum it runs.
+enum Start {
+    /// From the base facts: the strata are reset, their non-recursive
+    /// rules run once, then rounds run seeded with everything they hold
+    /// (naive rounds when [`EngineOptions::seminaive`] is off).
+    Base,
+    /// From the current solution: per-relation tuples that are new since
+    /// the last fixpoint (the pending adds; each resumed stratum adds its
+    /// growth) are injected, then semi-naive rounds run seeded with what
+    /// the injection derived plus the stratum's own changed tuples.
+    Resume(HashMap<usize, Bdd>),
 }
 
 impl Engine {
@@ -338,7 +358,6 @@ impl Engine {
             order_phys,
             stats: SolveStats::default(),
             eval,
-            rule_profile: std::cell::RefCell::new(Vec::new()),
             solved: false,
             pending_adds: HashMap::new(),
             pending_retracts: HashMap::new(),
@@ -812,38 +831,11 @@ impl Engine {
     /// [`DatalogError::NotStratified`] for negation through recursion;
     /// [`DatalogError::UnresolvedName`] for unresolvable quoted constants.
     pub fn solve(&mut self) -> Result<SolveStats, DatalogError> {
-        let solve_t0 = std::time::Instant::now();
-        // Peak-node reporting is per solve, not per engine lifetime: a
-        // second solve must not inherit the first one's high-water mark,
-        // nor count garbage left behind by earlier solves or by BDDs the
-        // caller built and dropped (dead nodes linger until a sweep).
-        self.mgr.gc();
-        self.mgr.reset_peak();
-        // Per-solve cache reporting: deltas against this snapshot.
-        let cache_base = self.mgr.stats();
-        let prep = self.prepare_solve()?;
-        for r in &mut self.rel {
-            r.bdd = r.base.clone();
-        }
-        self.pending_adds.clear();
-        self.pending_retracts.clear();
-
-        let mut stats = SolveStats {
-            strata: prep.comps.len(),
-            ..Default::default()
-        };
-        *self.rule_profile.borrow_mut() =
-            vec![(std::time::Duration::ZERO, 0usize); self.program.rules.len()];
-        self.solve_sequential(&prep.plans, &prep.comp_of, &prep.comps, &mut stats);
-        self.finish_stats(&mut stats, &cache_base, solve_t0);
-        self.solved = true;
-        self.stats = stats.clone();
-        Ok(stats)
+        self.run_solve(false)
     }
 
     /// Builds the rule plans and the predicate-dependency condensation,
-    /// and checks stratification — the shared front half of
-    /// [`Engine::solve`] and [`Engine::solve_incremental`].
+    /// and checks stratification — the front half of every solve.
     fn prepare_solve(&self) -> Result<PreparedSolve, DatalogError> {
         let plans: Vec<RulePlan> = {
             let ctx = PlanContext {
@@ -899,14 +891,36 @@ impl Engine {
         })
     }
 
-    /// Shared back half of the solve paths: peak nodes, per-solve cache
-    /// deltas, optional rule-timing dump, wall time.
-    fn finish_stats(
-        &self,
-        stats: &mut SolveStats,
-        cache_base: &whale_bdd::BddStats,
-        solve_t0: std::time::Instant,
-    ) {
+    /// The body of [`Engine::solve`] and [`Engine::solve_incremental`]:
+    /// one preamble, one call into the stratum driver per solve, one
+    /// epilogue. A full solve runs every stratum from its base facts; the
+    /// incremental path picks the affected strata and their start in
+    /// [`Engine::fold_deltas`].
+    fn run_solve(&mut self, incremental: bool) -> Result<SolveStats, DatalogError> {
+        let solve_t0 = Instant::now();
+        // Peak-node reporting is per solve, not per engine lifetime: a
+        // second solve must not inherit the first one's high-water mark,
+        // nor count garbage left behind by earlier solves or by BDDs the
+        // caller built and dropped (dead nodes linger until a sweep).
+        self.mgr.gc();
+        self.mgr.reset_peak();
+        // Per-solve cache reporting: deltas against this snapshot.
+        let cache_base = self.mgr.stats();
+        let prep = self.prepare_solve()?;
+        let mut stats = SolveStats {
+            strata: prep.comps.len(),
+            incremental,
+            ..Default::default()
+        };
+        if incremental {
+            self.fold_deltas(&prep, &mut stats);
+        } else {
+            self.pending_adds.clear();
+            self.pending_retracts.clear();
+            let all = vec![true; prep.comps.len()];
+            self.run_strata(&prep, &all, Start::Base, &mut stats);
+        }
+
         let bdd_stats = self.mgr.stats();
         stats.peak_live_nodes = bdd_stats.peak_live_nodes;
         stats.apply_cache = cache_delta(bdd_stats.apply_cache, cache_base.apply_cache);
@@ -914,20 +928,10 @@ impl Engine {
         stats.appex_cache = cache_delta(bdd_stats.appex_cache, cache_base.appex_cache);
         stats.replace_cache = cache_delta(bdd_stats.replace_cache, cache_base.replace_cache);
         stats.rel_cache = cache_delta(bdd_stats.client_cache, cache_base.client_cache);
-        if std::env::var_os("WHALE_RULE_TIMING").is_some() {
-            let prof = self.rule_profile.borrow();
-            let mut rows: Vec<(usize, std::time::Duration, usize)> = prof
-                .iter()
-                .enumerate()
-                .map(|(i, &(d, n))| (i, d, n))
-                .collect();
-            rows.sort_by_key(|r| std::cmp::Reverse(r.1));
-            eprintln!("-- rule timing (cumulative) --");
-            for (i, d, n) in rows.iter().take(12) {
-                eprintln!("  {d:>10.2?} x{n:<5} {}", self.program.rules[*i]);
-            }
-        }
         stats.solve_time = solve_t0.elapsed();
+        self.solved = true;
+        self.stats = stats.clone();
+        Ok(stats)
     }
 
     /// Whether a fixpoint is resident (computed by [`Engine::solve`] or
@@ -995,14 +999,12 @@ impl Engine {
     ///
     /// As [`Engine::solve`].
     pub fn solve_incremental(&mut self) -> Result<SolveStats, DatalogError> {
-        if !self.solved {
-            return self.solve();
-        }
-        let solve_t0 = std::time::Instant::now();
-        self.mgr.gc();
-        self.mgr.reset_peak();
-        let cache_base = self.mgr.stats();
-        let prep = self.prepare_solve()?;
+        self.run_solve(self.solved)
+    }
+
+    /// The incremental tiers as driver calls: picks the strata the pending
+    /// deltas can reach and where they start from, then runs them.
+    fn fold_deltas(&mut self, prep: &PreparedSolve, stats: &mut SolveStats) {
         let adds: HashMap<usize, Bdd> = std::mem::take(&mut self.pending_adds)
             .into_iter()
             .filter(|(_, b)| !b.is_zero())
@@ -1012,35 +1014,13 @@ impl Engine {
             .filter(|(_, b)| !b.is_zero())
             .collect();
 
-        let mut stats = SolveStats {
-            strata: prep.comps.len(),
-            incremental: true,
-            ..Default::default()
-        };
-        *self.rule_profile.borrow_mut() =
-            vec![(std::time::Duration::ZERO, 0usize); self.program.rules.len()];
-
-        let ncomps = prep.comps.len();
-        let dirty: Vec<usize> = adds
-            .keys()
-            .chain(retracts.keys())
-            .map(|&r| prep.comp_of[r])
-            .collect();
-        if dirty.is_empty() {
-            // No effective delta: the solution stands as-is.
-            stats.strata_skipped = ncomps;
-            stats.stratum_times = vec![Duration::ZERO; ncomps];
-            self.finish_stats(&mut stats, &cache_base, solve_t0);
-            self.stats = stats.clone();
-            return Ok(stats);
-        }
-
         // Forward closure over the condensation DAG: the strata a delta
         // can reach. Comp indices are topological, so one ascending sweep
         // over comp-level edges settles the closure.
+        let ncomps = prep.comps.len();
         let mut affected = vec![false; ncomps];
-        for c in dirty {
-            affected[c] = true;
+        for r in adds.keys().chain(retracts.keys()) {
+            affected[prep.comp_of[*r]] = true;
         }
         let mut comp_succs: Vec<Vec<usize>> = vec![Vec::new(); ncomps];
         for plan in &prep.plans {
@@ -1070,167 +1050,24 @@ impl Engine {
             affected[prep.comp_of[p.head.rel]] && p.negative.iter().any(|a| interferes(a.rel))
         });
 
-        if !retracts.is_empty() && negation_interferes {
+        let start = if !retracts.is_empty() && negation_interferes {
             // Tier 3: retraction touching a negating slice — recompute
             // everything from base facts.
             stats.full_fallback = true;
-            stats.strata_resolved = ncomps;
-            for r in &mut self.rel {
-                r.bdd = r.base.clone();
-            }
-            self.solve_sequential(&prep.plans, &prep.comp_of, &prep.comps, &mut stats);
+            affected.fill(true);
+            Start::Base
         } else if !retracts.is_empty() || negation_interferes {
             // Tier 2: reset the affected slice to base facts and re-solve
-            // it stratum by stratum; upstream strata keep their solution.
-            self.invalidate_and_resolve(&prep, &affected, &mut stats);
+            // it; upstream strata keep their solution.
+            Start::Base
         } else {
-            // Tier 1: monotone additions resume the semi-naive fixpoint.
-            self.resume_additions(&prep, &affected, adds, &mut stats);
-        }
-        self.finish_stats(&mut stats, &cache_base, solve_t0);
-        self.stats = stats.clone();
-        Ok(stats)
-    }
-
-    /// Tier 2 of [`Engine::solve_incremental`]: relations in affected
-    /// strata restart from their base facts and are re-derived in
-    /// topological order; unaffected strata (and the upstream solution
-    /// they feed on) are untouched.
-    fn invalidate_and_resolve(
-        &mut self,
-        prep: &PreparedSolve,
-        affected: &[bool],
-        stats: &mut SolveStats,
-    ) {
-        for (c, comp) in prep.comps.iter().enumerate() {
-            if affected[c] {
-                for &r in comp {
-                    self.rel[r].bdd = self.rel[r].base.clone();
-                }
-            }
-        }
-        let mut reorder_at = REORDER_MIN_NODES;
-        for (c, comp) in prep.comps.iter().enumerate() {
-            if !affected[c] {
-                stats.strata_skipped += 1;
-                stats.stratum_times.push(Duration::ZERO);
-                continue;
-            }
-            let t0 = std::time::Instant::now();
-            stats.strata_resolved += 1;
-            self.solve_comp(c, comp, &prep.plans, &prep.comp_of, stats, &mut reorder_at);
-            stats.stratum_times.push(t0.elapsed());
-        }
-    }
-
-    /// Tier 1 of [`Engine::solve_incremental`]: pending adds seed the
-    /// deltas of each affected stratum, which resumes its semi-naive
-    /// fixpoint from the existing solution. `changed` accumulates each
-    /// stratum's total growth so downstream strata can inject it.
-    fn resume_additions(
-        &mut self,
-        prep: &PreparedSolve,
-        affected: &[bool],
-        adds: HashMap<usize, Bdd>,
-        stats: &mut SolveStats,
-    ) {
-        let mut changed = adds;
-        let mut reorder_at = REORDER_MIN_NODES;
-        for (c, comp) in prep.comps.iter().enumerate() {
-            if !affected[c] {
-                stats.strata_skipped += 1;
-                stats.stratum_times.push(Duration::ZERO);
-                continue;
-            }
-            let t0 = std::time::Instant::now();
-            stats.strata_resolved += 1;
-            let before: HashMap<usize, Bdd> =
-                comp.iter().map(|&r| (r, self.rel[r].bdd.clone())).collect();
-            let comp_plans: Vec<&RulePlan> = prep
-                .plans
-                .iter()
-                .filter(|p| prep.comp_of[p.head.rel] == c)
-                .collect();
-
-            // Injection: every rule application that can see a changed
-            // tuple runs once with that occurrence narrowed to the delta.
-            // Each genuinely new derivation uses at least one new body
-            // tuple, so these applications (plus the comp-internal
-            // propagation below) cover the resumed fixpoint.
-            let mut acc: HashMap<usize, Bdd> = comp.iter().map(|&r| (r, self.mgr.zero())).collect();
-            for plan in &comp_plans {
-                for occ in 0..plan.positive.len() {
-                    let rel_r = plan.positive[occ].rel;
-                    let Some(d) = changed.get(&rel_r) else {
-                        continue;
-                    };
-                    if d.is_zero() {
-                        continue;
-                    }
-                    let srcs: Vec<Bdd> = plan
-                        .positive
-                        .iter()
-                        .enumerate()
-                        .map(|(i, a)| {
-                            if i == occ {
-                                d.clone()
-                            } else {
-                                self.rel[a.rel].bdd.clone()
-                            }
-                        })
-                        .collect();
-                    if srcs.iter().any(Bdd::is_zero) {
-                        continue;
-                    }
-                    let order = RuleEval::join_order(plan, occ);
-                    let contrib = self.eval_rule(plan, &srcs, &order);
-                    stats.rule_applications += 1;
-                    if let Some(a) = acc.get_mut(&plan.head.rel) {
-                        *a = a.or(&contrib);
-                    }
-                }
-            }
-            let mut delta: HashMap<usize, Bdd> = HashMap::new();
-            for &r in comp {
-                let fresh = acc[&r].diff(&self.rel[r].bdd);
-                if !fresh.is_zero() {
-                    self.rel[r].bdd = self.rel[r].bdd.or(&fresh);
-                }
-                // Facts added directly to a comp member ride along in the
-                // seed (they are already in rel.bdd, recorded at add time).
-                let seed = match changed.get(&r) {
-                    Some(d) => fresh.or(d),
-                    None => fresh,
-                };
-                delta.insert(r, seed);
-            }
-            let is_recursive = |p: &RulePlan| p.positive.iter().any(|a| prep.comp_of[a.rel] == c);
-            let rec_plans: Vec<&RulePlan> = comp_plans
-                .iter()
-                .filter(|p| is_recursive(p))
-                .copied()
-                .collect();
-            if !rec_plans.is_empty() && delta.values().any(|d| !d.is_zero()) {
-                self.seminaive_fixpoint(
-                    c,
-                    &prep.comp_of,
-                    comp,
-                    &rec_plans,
-                    stats,
-                    &mut reorder_at,
-                    delta,
-                );
-            }
-            for &r in comp {
-                let grown = self.rel[r].bdd.diff(&before[&r]);
-                if grown.is_zero() {
-                    continue;
-                }
-                let slot = changed.entry(r).or_insert_with(|| self.mgr.zero());
-                *slot = slot.or(&grown);
-            }
-            stats.stratum_times.push(t0.elapsed());
-        }
+            // Tier 1: monotone additions resume the semi-naive fixpoint
+            // (no delta at all skips every stratum).
+            Start::Resume(adds)
+        };
+        self.run_strata(prep, &affected, start, stats);
+        stats.strata_resolved = affected.iter().filter(|&&a| a).count();
+        stats.strata_skipped = ncomps - stats.strata_resolved;
     }
 
     /// Answers a single-atom query demand-driven: `vP(3, h)` asks for the
@@ -1354,77 +1191,222 @@ impl Engine {
         })
     }
 
-    /// The full solve loop: every stratum in topological order, with
-    /// per-stratum wall-clock capture (strata with no rules record their
-    /// ~zero bookkeeping time so `stratum_times` stays index-parallel with
-    /// the condensation).
-    fn solve_sequential(
+    /// The stratum driver: runs the `affected` strata in topological order
+    /// from `start`, each to its fixpoint, and skips the rest. Every solve
+    /// path is one call: a full solve runs every stratum from
+    /// [`Start::Base`]; the incremental tiers run the affected slice from
+    /// [`Start::Base`] (tiers 2 and 3) or [`Start::Resume`] (tier 1).
+    /// `stratum_times` gets one entry per stratum (zero for skipped ones).
+    fn run_strata(
         &mut self,
-        plans: &[RulePlan],
-        comp_of: &[usize],
-        comps: &[Vec<usize>],
+        prep: &PreparedSolve,
+        affected: &[bool],
+        mut start: Start,
         stats: &mut SolveStats,
     ) {
+        if let Start::Base = start {
+            for (comp, _) in prep.comps.iter().zip(affected).filter(|(_, &a)| a) {
+                for &r in comp {
+                    self.rel[r].bdd = self.rel[r].base.clone();
+                }
+            }
+        }
         let mut reorder_at = REORDER_MIN_NODES;
-        for (c, comp) in comps.iter().enumerate() {
-            let t0 = std::time::Instant::now();
-            self.solve_comp(c, comp, plans, comp_of, stats, &mut reorder_at);
+        for (c, comp) in prep.comps.iter().enumerate() {
+            if !affected[c] {
+                stats.stratum_times.push(Duration::ZERO);
+                continue;
+            }
+            let t0 = Instant::now();
+            let is_recursive = |p: &RulePlan| p.positive.iter().any(|a| prep.comp_of[a.rel] == c);
+            let plans: Vec<&RulePlan> = prep
+                .plans
+                .iter()
+                .filter(|p| prep.comp_of[p.head.rel] == c)
+                .collect();
+            let rec: Vec<&RulePlan> = plans.iter().copied().filter(|p| is_recursive(p)).collect();
+            match &mut start {
+                Start::Base => {
+                    // Non-recursive rules once, then rounds seeded with
+                    // everything the stratum holds.
+                    for plan in plans.iter().filter(|p| !is_recursive(p)) {
+                        if let Some(contrib) = self.apply(plan, None, stats) {
+                            let head = plan.head.rel;
+                            self.rel[head].bdd = self.rel[head].bdd.or(&contrib);
+                        }
+                    }
+                    if !rec.is_empty() {
+                        let seed = self
+                            .options
+                            .seminaive
+                            .then(|| comp.iter().map(|&r| (r, self.rel[r].bdd.clone())).collect());
+                        self.fixpoint(comp, &rec, seed, stats, &mut reorder_at);
+                    }
+                }
+                Start::Resume(changed) => {
+                    let before: Vec<Bdd> = comp.iter().map(|&r| self.rel[r].bdd.clone()).collect();
+                    // Injection: every rule application that can see a
+                    // changed tuple runs once with that occurrence narrowed
+                    // to the delta. Each genuinely new derivation uses at
+                    // least one new body tuple, so this pass plus the
+                    // rounds below cover the resumed fixpoint.
+                    let acc = self.pass(&plans, Some(changed), comp, stats);
+                    let mut seed = HashMap::new();
+                    for &r in comp {
+                        let fresh = self.absorb(r, &acc[&r]);
+                        // Facts added directly to a comp member ride along
+                        // (they are already in rel.bdd, recorded at add time).
+                        let d = match changed.get(&r) {
+                            Some(d) => fresh.or(d),
+                            None => fresh,
+                        };
+                        seed.insert(r, d);
+                    }
+                    if !rec.is_empty() && seed.values().any(|d| !d.is_zero()) {
+                        self.fixpoint(comp, &rec, Some(seed), stats, &mut reorder_at);
+                    }
+                    // Record the stratum's growth so downstream strata
+                    // inject it in turn.
+                    for (&r, old) in comp.iter().zip(&before) {
+                        let grown = self.rel[r].bdd.diff(old);
+                        if grown.is_zero() {
+                            continue;
+                        }
+                        let slot = changed.entry(r).or_insert_with(|| self.mgr.zero());
+                        *slot = slot.or(&grown);
+                    }
+                }
+            }
             stats.stratum_times.push(t0.elapsed());
         }
     }
 
-    /// Solves one stratum from whatever its relations currently hold:
-    /// non-recursive rules once, then the recursive fixpoint. Shared by
-    /// the full sequential solve and the incremental invalidation path.
-    fn solve_comp(
+    /// Rounds over a stratum's recursive rules until nothing new is
+    /// derived. `seed` holds the first round's per-relation deltas and
+    /// makes the rounds semi-naive; `None` makes them naive, every rule
+    /// over the full relations each round. This is where every round is
+    /// counted.
+    fn fixpoint(
         &mut self,
-        c: usize,
         comp: &[usize],
-        plans: &[RulePlan],
-        comp_of: &[usize],
+        rec: &[&RulePlan],
+        seed: Option<HashMap<usize, Bdd>>,
         stats: &mut SolveStats,
         reorder_at: &mut usize,
     ) {
-        let comp_plans: Vec<&RulePlan> =
-            plans.iter().filter(|p| comp_of[p.head.rel] == c).collect();
-        if comp_plans.is_empty() {
-            return;
-        }
-        let is_recursive = |p: &RulePlan| p.positive.iter().any(|a| comp_of[a.rel] == c);
-        // Non-recursive rules first, once.
-        for plan in comp_plans.iter().filter(|p| !is_recursive(p)) {
-            if self.empty_positive_source(plan) {
-                continue;
+        // `seed` stays referenced until the fixpoint returns, so collections
+        // triggered mid-round keep its nodes; the kernel counters
+        // (lookups, evictions, GC runs, peak nodes) depend on that.
+        let mut delta = seed.clone();
+        loop {
+            stats.rounds += 1;
+            let acc = self.pass(rec, delta.as_ref(), comp, stats);
+            let mut grew = false;
+            for &r in comp {
+                let fresh = self.absorb(r, &acc[&r]);
+                grew |= !fresh.is_zero();
+                if let Some(delta) = &mut delta {
+                    delta.insert(r, fresh);
+                }
             }
-            let srcs: Vec<Bdd> = plan
-                .positive
-                .iter()
-                .map(|a| self.rel[a.rel].bdd.clone())
-                .collect();
-            let order = if plan.positive.is_empty() {
-                Vec::new()
-            } else {
-                RuleEval::join_order(plan, 0)
+            if !grew {
+                return;
+            }
+            self.maybe_reorder(stats, reorder_at);
+        }
+    }
+
+    /// One pass over `plans`, OR-ing each application's result into its
+    /// head's slot of a per-relation accumulator over `comp`. With
+    /// `deltas`, each positive occurrence of a relation with a non-empty
+    /// delta is applied once, narrowed to that delta (the semi-naive
+    /// transformation); without, each plan is applied once over the full
+    /// relations.
+    fn pass(
+        &self,
+        plans: &[&RulePlan],
+        deltas: Option<&HashMap<usize, Bdd>>,
+        comp: &[usize],
+        stats: &mut SolveStats,
+    ) -> HashMap<usize, Bdd> {
+        let mut acc: HashMap<usize, Bdd> = comp.iter().map(|&r| (r, self.mgr.zero())).collect();
+        for plan in plans {
+            let narrowings: Vec<Option<(usize, &Bdd)>> = match deltas {
+                None => vec![None],
+                Some(deltas) => plan
+                    .positive
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(occ, a)| {
+                        let d = deltas.get(&a.rel).filter(|d| !d.is_zero());
+                        d.map(|d| Some((occ, d)))
+                    })
+                    .collect(),
             };
-            let contrib = self.eval_rule(plan, &srcs, &order);
-            stats.rule_applications += 1;
-            let head = plan.head.rel;
-            self.rel[head].bdd = self.rel[head].bdd.or(&contrib);
-        }
-        let rec_plans: Vec<&RulePlan> = comp_plans
-            .iter()
-            .filter(|p| is_recursive(p))
-            .copied()
-            .collect();
-        if !rec_plans.is_empty() {
-            if self.options.seminaive {
-                let init: HashMap<usize, Bdd> =
-                    comp.iter().map(|&r| (r, self.rel[r].bdd.clone())).collect();
-                self.seminaive_fixpoint(c, comp_of, comp, &rec_plans, stats, reorder_at, init);
-            } else {
-                self.naive_fixpoint(c, comp_of, comp, &rec_plans, stats, reorder_at);
+            for narrowed in narrowings {
+                if let Some(contrib) = self.apply(plan, narrowed, stats) {
+                    if let Some(a) = acc.get_mut(&plan.head.rel) {
+                        *a = a.or(&contrib);
+                    }
+                }
             }
         }
+        acc
+    }
+
+    /// Folds `derived` into relation `r` and returns the genuinely new
+    /// part.
+    fn absorb(&mut self, r: usize, derived: &Bdd) -> Bdd {
+        let fresh = derived.diff(&self.rel[r].bdd);
+        if !fresh.is_zero() {
+            self.rel[r].bdd = self.rel[r].bdd.or(&fresh);
+        }
+        fresh
+    }
+
+    /// Applies one rule plan: the single place a rule application happens
+    /// and is counted. `narrowed` swaps one positive occurrence's source
+    /// for a delta, which then joins first; `None` joins the full
+    /// relations from the first atom. Negated atoms read the full
+    /// relations.
+    ///
+    /// Returns `None`, uncounted, when a positive source is empty, making
+    /// the result trivially empty. Skipping such applications keeps the
+    /// counted rule work proportional to the data actually flowing — in a
+    /// magic-transformed program most adorned variants guard on a magic
+    /// predicate that never receives demand at runtime, and this check is
+    /// what lets them cost nothing. Fact rules (no positive atoms) always
+    /// run, and an empty negated source is the universal complement.
+    fn apply(
+        &self,
+        plan: &RulePlan,
+        narrowed: Option<(usize, &Bdd)>,
+        stats: &mut SolveStats,
+    ) -> Option<Bdd> {
+        let srcs: Vec<Bdd> = plan
+            .positive
+            .iter()
+            .enumerate()
+            .map(|(i, a)| match narrowed {
+                Some((occ, d)) if occ == i => d.clone(),
+                _ => self.rel[a.rel].bdd.clone(),
+            })
+            .collect();
+        if srcs.iter().any(Bdd::is_zero) {
+            return None;
+        }
+        let order = match narrowed {
+            Some((occ, _)) => RuleEval::join_order(plan, occ),
+            None if plan.positive.is_empty() => Vec::new(),
+            None => RuleEval::join_order(plan, 0),
+        };
+        let neg_srcs: Vec<Bdd> = plan
+            .negative
+            .iter()
+            .map(|a| self.rel[a.rel].bdd.clone())
+            .collect();
+        stats.rule_applications += 1;
+        Some(self.eval.eval_rule(plan, &srcs, &neg_srcs, &order))
     }
 
     /// Runs one sifting pass if reordering is enabled and the table has
@@ -1437,167 +1419,15 @@ impl Engine {
         if !self.options.reorder || self.mgr.stats().live_nodes < *reorder_at {
             return;
         }
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let rs = self.mgr.reorder_sift();
         stats.reorder_runs += 1;
         stats.reorder_time += t0.elapsed();
         stats.reorder_delta_nodes += rs.delta_nodes();
         *reorder_at = (rs.nodes_after * 2).max(REORDER_MIN_NODES);
     }
-
-    /// Semi-naive rounds seeded by `init_delta`: a full solve seeds each
-    /// relation's current value, an incremental resume seeds only what
-    /// changed since the last fixpoint (the tuples already folded into
-    /// `rel.bdd` — the loop derives their consequences).
-    #[allow(clippy::too_many_arguments)]
-    fn seminaive_fixpoint(
-        &mut self,
-        c: usize,
-        comp_of: &[usize],
-        comp: &[usize],
-        rec_plans: &[&RulePlan],
-        stats: &mut SolveStats,
-        reorder_at: &mut usize,
-        init_delta: HashMap<usize, Bdd>,
-    ) {
-        let zero = self.mgr.zero();
-        let mut delta: HashMap<usize, Bdd> = comp
-            .iter()
-            .map(|&r| (r, init_delta.get(&r).unwrap_or(&zero).clone()))
-            .collect();
-        loop {
-            stats.rounds += 1;
-            let mut acc: HashMap<usize, Bdd> = comp.iter().map(|&r| (r, self.mgr.zero())).collect();
-            for plan in rec_plans {
-                for occ in 0..plan.positive.len() {
-                    let rel_r = plan.positive[occ].rel;
-                    if comp_of[rel_r] != c {
-                        continue;
-                    }
-                    if delta[&rel_r].is_zero() || self.empty_positive_source(plan) {
-                        continue;
-                    }
-                    let srcs: Vec<Bdd> = plan
-                        .positive
-                        .iter()
-                        .enumerate()
-                        .map(|(i, a)| {
-                            if i == occ {
-                                delta[&rel_r].clone()
-                            } else {
-                                self.rel[a.rel].bdd.clone()
-                            }
-                        })
-                        .collect();
-                    // The delta joins first; the rest follow greedily.
-                    let order = RuleEval::join_order(plan, occ);
-                    let contrib = self.eval_rule(plan, &srcs, &order);
-                    stats.rule_applications += 1;
-                    let head = plan.head.rel;
-                    if let Some(a) = acc.get_mut(&head) {
-                        *a = a.or(&contrib);
-                    }
-                }
-            }
-            let mut changed = false;
-            for &r in comp {
-                let fresh = acc[&r].diff(&self.rel[r].bdd);
-                if !fresh.is_zero() {
-                    self.rel[r].bdd = self.rel[r].bdd.or(&fresh);
-                    changed = true;
-                }
-                delta.insert(r, fresh);
-            }
-            if !changed {
-                return;
-            }
-            self.maybe_reorder(stats, reorder_at);
-        }
-    }
-
-    fn naive_fixpoint(
-        &mut self,
-        _c: usize,
-        _comp_of: &[usize],
-        comp: &[usize],
-        rec_plans: &[&RulePlan],
-        stats: &mut SolveStats,
-        reorder_at: &mut usize,
-    ) {
-        loop {
-            stats.rounds += 1;
-            let mut changed = false;
-            let mut acc: HashMap<usize, Bdd> = comp.iter().map(|&r| (r, self.mgr.zero())).collect();
-            for plan in rec_plans {
-                if self.empty_positive_source(plan) {
-                    continue;
-                }
-                let srcs: Vec<Bdd> = plan
-                    .positive
-                    .iter()
-                    .map(|a| self.rel[a.rel].bdd.clone())
-                    .collect();
-                let order = if plan.positive.is_empty() {
-                    Vec::new()
-                } else {
-                    RuleEval::join_order(plan, 0)
-                };
-                let contrib = self.eval_rule(plan, &srcs, &order);
-                stats.rule_applications += 1;
-                let head = plan.head.rel;
-                if let Some(a) = acc.get_mut(&head) {
-                    *a = a.or(&contrib);
-                }
-            }
-            for &r in comp {
-                let fresh = acc[&r].diff(&self.rel[r].bdd);
-                if !fresh.is_zero() {
-                    self.rel[r].bdd = self.rel[r].bdd.or(&fresh);
-                    changed = true;
-                }
-            }
-            if !changed {
-                return;
-            }
-            self.maybe_reorder(stats, reorder_at);
-        }
-    }
-
-    /// Whether any positive source relation of `plan` is currently empty,
-    /// making the rule's contribution trivially empty. Skipping such
-    /// applications keeps the counted rule work proportional to the data
-    /// actually flowing — in a magic-transformed program most adorned
-    /// variants guard on a magic predicate that never receives demand at
-    /// runtime, and this check is what lets them cost nothing. Fact rules
-    /// (no positive atoms) are never skipped, and negated atoms don't
-    /// count: an empty negated source is the universal complement.
-    fn empty_positive_source(&self, plan: &RulePlan) -> bool {
-        plan.positive.iter().any(|a| self.rel[a.rel].bdd.is_zero())
-    }
-
-    /// Applies one rule plan against the engine's own relation table
-    /// (negative-atom sources come from `self.rel`) with per-rule
-    /// profiling.
-    fn eval_rule(&self, plan: &RulePlan, srcs: &[Bdd], order: &[usize]) -> Bdd {
-        let neg_srcs: Vec<Bdd> = plan
-            .negative
-            .iter()
-            .map(|a| self.rel[a.rel].bdd.clone())
-            .collect();
-        let t0 = std::time::Instant::now();
-        let result = self.eval.eval_rule(plan, srcs, &neg_srcs, order);
-        {
-            let mut prof = self.rule_profile.borrow_mut();
-            if let Some(slot) = prof.get_mut(plan.rule_ix) {
-                slot.0 += t0.elapsed();
-                slot.1 += 1;
-            }
-        }
-        result
-    }
 }
 
-/// Expands a logical-domain ordering string into groups of physical names.
 /// Finds a shortest dependency path `from -> ... -> to` staying inside
 /// `from`'s strongly connected component; the negation edge `to -> from`
 /// then closes the witness cycle reported by
@@ -1638,6 +1468,7 @@ pub(crate) fn negation_cycle(
     vec![from, to]
 }
 
+/// Expands a logical-domain ordering string into groups of physical names.
 fn expand_order(program: &Program, order: Option<&str>) -> Result<Vec<Vec<String>>, DatalogError> {
     let expand_logical = |d: usize| -> Vec<String> {
         let name = &program.domains[d].name;

@@ -60,8 +60,6 @@ pub(crate) struct HeadPlan {
 /// A fully compiled rule.
 #[derive(Debug, Clone)]
 pub(crate) struct RulePlan {
-    /// Index of the source rule (profiling, diagnostics).
-    pub rule_ix: usize,
     pub head: HeadPlan,
     pub positive: Vec<AtomPlan>,
     pub negative: Vec<AtomPlan>,
@@ -243,7 +241,6 @@ impl<'a> PlanContext<'a> {
         }
 
         Ok(RulePlan {
-            rule_ix,
             head: HeadPlan {
                 rel: head_rel_ix,
                 eqs: head_eqs,

@@ -1,7 +1,7 @@
 //! The incremental-solve oracle: random `add_facts`/`retract_facts`
 //! delta sequences applied through [`Engine::solve_incremental`] must be
 //! byte-identical to a from-scratch solve over the final fact set, with
-//! dynamic reordering off and on.
+//! dynamic reordering off and on, and with semi-naive and naive rounds.
 //!
 //! The program is built to exercise every incremental tier: a recursive
 //! transitive closure (semi-naive resume), a stratified negation over it
@@ -37,10 +37,11 @@ colored(x) :- color(x).
 
 const OUTPUTS: [&str; 5] = ["path", "reach", "node", "unreached", "colored"];
 
-fn make_engine(reorder: bool) -> Engine {
+fn make_engine(reorder: bool, seminaive: bool) -> Engine {
     let program = Program::parse(PROGRAM).unwrap();
     let options = EngineOptions {
         reorder,
+        seminaive,
         ..EngineOptions::default()
     };
     Engine::with_options(program, options).unwrap()
@@ -53,7 +54,7 @@ fn reference_solve(
     colors: &BTreeSet<u64>,
     reorder: bool,
 ) -> (Vec<Vec<Vec<u64>>>, SolveStats) {
-    let mut e = make_engine(reorder);
+    let mut e = make_engine(reorder, true);
     e.add_facts("edge", edges.iter().map(|&(s, d)| vec![s, d]))
         .unwrap();
     e.add_facts("color", colors.iter().map(|&c| vec![c]))
@@ -73,18 +74,20 @@ fn snapshot(e: &Engine) -> Vec<Vec<Vec<u64>>> {
 fn random_delta_sequences_match_from_scratch() {
     for seed in [11, 12, 13] {
         for reorder in [false, true] {
-            check_one(seed, reorder);
+            for seminaive in [true, false] {
+                check_one(seed, reorder, seminaive);
+            }
         }
     }
 }
 
-fn check_one(seed: u64, reorder: bool) {
-    let tag = format!("seed={seed} reorder={reorder}");
+fn check_one(seed: u64, reorder: bool, seminaive: bool) {
+    let tag = format!("seed={seed} reorder={reorder} seminaive={seminaive}");
     let mut rng = Rng::seed_from_u64(seed);
     let mut edges: BTreeSet<(u64, u64)> = BTreeSet::new();
     let mut colors: BTreeSet<u64> = BTreeSet::new();
 
-    let mut e = make_engine(reorder);
+    let mut e = make_engine(reorder, seminaive);
     for _ in 0..12 {
         let t = (rng.below(16), rng.below(16));
         if edges.insert(t) {
@@ -136,7 +139,7 @@ fn monotone_additions_resume_without_fallback() {
         let mut rng = Rng::seed_from_u64(seed);
         let mut edges: BTreeSet<(u64, u64)> = BTreeSet::new();
         let mut colors: BTreeSet<u64> = BTreeSet::new();
-        let mut e = make_engine(false);
+        let mut e = make_engine(false, true);
         for _ in 0..10 {
             let t = (rng.below(12), rng.below(12));
             if edges.insert(t) {
@@ -170,7 +173,7 @@ fn monotone_additions_resume_without_fallback() {
 /// and still land on exactly the from-scratch result.
 #[test]
 fn retraction_through_negation_falls_back_and_stays_correct() {
-    let mut e = make_engine(false);
+    let mut e = make_engine(false, true);
     let mut edges: BTreeSet<(u64, u64)> = [(0, 1), (1, 2), (2, 3), (5, 6)].into();
     for &(s, d) in &edges {
         e.add_fact("edge", &[s, d]).unwrap();
@@ -187,11 +190,41 @@ fn retraction_through_negation_falls_back_and_stays_correct() {
     assert!(e.relation_tuples("unreached").unwrap().contains(&vec![2]));
 }
 
+/// The full fallback is a fresh solve in all but name: after it, the
+/// round and rule-application counts equal those of a new engine solving
+/// the same facts.
+#[test]
+fn full_fallback_does_the_work_of_a_fresh_solve() {
+    let mut e = make_engine(false, true);
+    let mut edges: BTreeSet<(u64, u64)> = [(0, 1), (1, 2), (2, 3), (3, 1), (5, 6)].into();
+    // The island stratum no edge reaches must be re-solved too.
+    let colors: BTreeSet<u64> = [4].into();
+    for &(s, d) in &edges {
+        e.add_fact("edge", &[s, d]).unwrap();
+    }
+    e.add_fact("color", &[4]).unwrap();
+    e.solve().unwrap();
+
+    for victim in [(2, 3), (0, 1)] {
+        edges.remove(&victim);
+        e.retract_fact("edge", &[victim.0, victim.1]).unwrap();
+        let stats = e.solve_incremental().unwrap();
+        assert!(stats.full_fallback, "{victim:?}: {stats:?}");
+        let (expected, fresh) = reference_solve(&edges, &colors, false);
+        assert_eq!(snapshot(&e), expected, "{victim:?}");
+        assert_eq!(stats.rounds, fresh.rounds, "{victim:?}");
+        assert_eq!(
+            stats.rule_applications, fresh.rule_applications,
+            "{victim:?}"
+        );
+    }
+}
+
 /// A no-op `solve_incremental` (no pending deltas) does zero stratum
 /// work: everything is skipped and the result is untouched.
 #[test]
 fn empty_delta_skips_every_stratum() {
-    let mut e = make_engine(false);
+    let mut e = make_engine(false, true);
     e.add_fact("edge", &[0, 1]).unwrap();
     e.add_fact("edge", &[1, 2]).unwrap();
     e.solve().unwrap();
@@ -214,7 +247,7 @@ fn sequential_solves_match_fresh_engines() {
         let edges: BTreeSet<(u64, u64)> = (0..14).map(|_| (rng.below(16), rng.below(16))).collect();
         let colors: BTreeSet<u64> = (0..3).map(|_| rng.below(16)).collect();
 
-        let mut resident = make_engine(false);
+        let mut resident = make_engine(false, true);
         resident
             .add_facts("edge", edges.iter().map(|&(s, d)| vec![s, d]))
             .unwrap();
