@@ -88,6 +88,10 @@ pub struct BddStats {
     /// Bytes currently held by all operation caches. The caches grow only
     /// with the node table, so this never falls.
     pub cache_bytes: usize,
+    /// Bytes of the unique table in use: the used node prefix (every slot
+    /// ever handed out, at [`NODE_BYTES`] each) plus the bucket array.
+    /// Both only grow, so this never falls.
+    pub table_bytes: usize,
 }
 
 impl BddStats {
@@ -542,6 +546,7 @@ impl BddManager {
             client_cache,
             count_memo: s.count_memo.stats,
             cache_bytes: s.cache_bytes(),
+            table_bytes: s.table_bytes(),
         }
     }
 

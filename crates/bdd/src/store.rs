@@ -7,6 +7,12 @@
 //! handles, and the kernel protects its own intermediate results on an
 //! explicit `refstack` so that garbage collection can run in the middle of an
 //! operation when the node table fills up.
+//!
+//! The bucket array is sized to the nodes in use, not to the table's
+//! capacity: it starts at [`MIN_BUCKETS`] and doubles, rehashing the used
+//! prefix, whenever that prefix outgrows it. A manager that reserves 2^20
+//! slots but uses 2^17 therefore never writes, collects into or probes a
+//! 2^20-entry bucket array.
 
 use crate::cache::{Cache, CacheStats, NIL};
 use crate::domain::DomainData;
@@ -42,6 +48,11 @@ const FREE_NODE: Node = Node {
 
 /// Bytes per node slot — the basis of `BddStats::peak_bytes`.
 pub const NODE_BYTES: usize = std::mem::size_of::<Node>();
+
+/// Bucket count of a new unique table. The array doubles whenever the used
+/// node prefix outgrows it, so the load factor over the used prefix stays
+/// at most one, whatever capacity the manager reserved.
+pub(crate) const MIN_BUCKETS: usize = 1 << 12;
 
 /// Default max-growth factor of a sifting pass: a sweep direction is
 /// abandoned once the table exceeds this multiple of the best size seen
@@ -96,6 +107,8 @@ pub(crate) struct Store {
     pub(crate) walk_pos: Vec<u32>,
     /// Exact counts of whole roots, kept across calls.
     pub(crate) count_memo: CountMemo,
+    /// Heads of the unique table's hash chains: a power of two, at least
+    /// [`MIN_BUCKETS`] and at least the used prefix `nodes.len()`.
     buckets: Vec<u32>,
     bucket_mask: usize,
     /// Freed slots inside the used prefix (never-used slots are not chained).
@@ -169,8 +182,8 @@ pub(crate) fn sanitize_default() -> bool {
     })
 }
 
-/// Has glibc serve every allocation of 1 MiB and up — node tables, bucket
-/// arrays, op caches — with its own `mmap`. Untouched reservations then
+/// Has glibc serve every allocation of 1 MiB and up — node tables, large
+/// bucket arrays, op caches — with its own `mmap`. Untouched reservations then
 /// cost no resident memory, and dropping a manager returns its arrays to
 /// the OS at once. By default glibc raises this threshold after the first
 /// large free, so later tables come from the heap, where freed memory can
@@ -226,8 +239,8 @@ impl Store {
             marks: Vec::new(),
             walk_pos: Vec::new(),
             count_memo: CountMemo::new(),
-            buckets: vec![NIL; capacity],
-            bucket_mask: capacity - 1,
+            buckets: vec![NIL; MIN_BUCKETS],
+            bucket_mask: MIN_BUCKETS - 1,
             free_head: NIL,
             free_count: 0,
             varcount,
@@ -357,10 +370,18 @@ impl Store {
             self.push_ref(high);
             self.reclaim();
             self.pop_ref(2);
-            // Buckets may have been rebuilt / resized.
+            // GC rebuilt the chains; the node cannot have appeared, since
+            // GC only removes nodes.
             slot = hash3(level, low, high) & self.bucket_mask;
-            // The node cannot have appeared: GC only removes nodes.
         }
+        self.insert_new(slot, level, low, high)
+    }
+
+    /// Allocates the node `(level, low, high)`, which the caller looked up
+    /// and did not find, chains it into `slot` and returns its index. If
+    /// the allocation extends the used prefix past the bucket count, the
+    /// bucket array doubles and the prefix is rehashed into it.
+    fn insert_new(&mut self, slot: usize, level: u32, low: u32, high: u32) -> u32 {
         let idx = self.alloc_slot(Node {
             level,
             low,
@@ -369,7 +390,26 @@ impl Store {
             next: self.buckets[slot],
         });
         self.buckets[slot] = idx;
+        if self.nodes.len() > self.buckets.len() {
+            self.rehash(self.buckets.len() * 2);
+        }
         idx
+    }
+
+    /// Replaces the bucket array by one of `len` (a power of two) empty
+    /// buckets and chains every live node of the used prefix into it, lowest
+    /// index first in each chain. Every live node must be chained under its
+    /// current fields on entry; free slots keep their free-list links.
+    fn rehash(&mut self, len: usize) {
+        debug_assert!(len.is_power_of_two() && len >= self.nodes.len());
+        self.buckets.clear();
+        self.buckets.resize(len, NIL);
+        self.bucket_mask = len - 1;
+        for i in (2..self.nodes.len()).rev() {
+            if self.nodes[i].low != NIL {
+                self.bucket_insert(i as u32);
+            }
+        }
     }
 
     /// Slots `mk` can still hand out without collecting: freed slots in the
@@ -426,7 +466,8 @@ impl Store {
         for r in roots {
             self.mark(r);
         }
-        // Sweep phase: rebuild the unique table and the free list.
+        // Sweep phase: rebuild the unique table and the free list. The used
+        // prefix never shrinks, so the bucket array keeps its size.
         let live_before = self.live_count();
         self.buckets.fill(NIL);
         self.free_head = NIL;
@@ -507,6 +548,12 @@ impl Store {
         )
     }
 
+    /// Bytes written in the unique table: the used node prefix plus the
+    /// bucket array. Reserved slots past the prefix are not counted.
+    pub(crate) fn table_bytes(&self) -> usize {
+        self.nodes.len() * NODE_BYTES + self.buckets.len() * std::mem::size_of::<u32>()
+    }
+
     /// Bytes currently held by all five operation caches.
     pub(crate) fn cache_bytes(&self) -> usize {
         self.apply_cache.bytes()
@@ -557,6 +604,7 @@ impl Store {
     /// Audits every structural invariant of the node store:
     ///
     /// * terminal nodes 0/1 are intact (self-children, terminal level);
+    /// * the bucket array is a power of two no shorter than the used prefix;
     /// * no live node has `low == high` (such nodes must be reduced away);
     /// * every node, bucket, free-list and cache index lies inside the
     ///   used prefix of the table (slots past it were never written);
@@ -564,8 +612,9 @@ impl Store {
     ///   (numerically below) both children's levels, and both children are
     ///   live nodes;
     /// * the unique table is canonical: no two live nodes share
-    ///   `(level, low, high)`, and every live node is reachable from its
-    ///   hash bucket's chain;
+    ///   `(level, low, high)`, every live node is reachable from its hash
+    ///   bucket's chain, and each chain links only live nodes of its own
+    ///   bucket, each once;
     /// * the free list is acyclic, contains exactly `free_count` slots,
     ///   and every slot on it is actually free (`low == NIL`);
     /// * every valid entry of the five operation caches names only live
@@ -590,6 +639,18 @@ impl Store {
         if let Some(i) = self.marks.iter().position(|&m| m) {
             return Err(format!(
                 "node {i} carries a stray mark outside GC: the next collection would keep it alive"
+            ));
+        }
+        let nb = self.buckets.len();
+        if !nb.is_power_of_two() || self.bucket_mask != nb - 1 {
+            return Err(format!(
+                "bucket array of {nb} is not a power of two matching mask {:#x}",
+                self.bucket_mask
+            ));
+        }
+        if nb < n {
+            return Err(format!(
+                "bucket array of {nb} is shorter than the used prefix of {n} slots"
             ));
         }
         let live = |x: u32| x <= ONE || self.nodes[x as usize].low != NIL;
@@ -672,6 +733,32 @@ impl Store {
                 ));
             }
         }
+        // Each bucket chains only nodes that hash to it, and every live
+        // node exactly once: the walk above found each on its own chain, so
+        // a total above the live count means a node is linked twice.
+        let mut chained = 0usize;
+        for (b, &head) in self.buckets.iter().enumerate() {
+            let mut cur = head;
+            while cur != NIL {
+                let node = &self.nodes[cur as usize];
+                if !live(cur) {
+                    return Err(format!("bucket {b} chain reaches freed slot {cur}"));
+                }
+                let slot = hash3(node.level, node.low, node.high) & self.bucket_mask;
+                if slot != b {
+                    return Err(format!(
+                        "node {cur} on bucket {b} chain hashes to bucket {slot}"
+                    ));
+                }
+                chained += 1;
+                if chained > live_seen {
+                    return Err(format!(
+                        "bucket chains link more than the {live_seen} live nodes"
+                    ));
+                }
+                cur = node.next;
+            }
+        }
         let mut free_seen = 0usize;
         let mut cur = self.free_head;
         while cur != NIL {
@@ -747,7 +834,8 @@ impl Store {
     }
 
     /// Doubles the logical capacity. The new slots are reserved, not
-    /// written or chained: `mk` reaches them once the free list runs dry.
+    /// written or chained: `mk` reaches them once the free list runs dry,
+    /// and the bucket array follows them there ([`Store::insert_new`]).
     fn grow(&mut self) {
         let old_len = self.capacity;
         let new_len = old_len * 2;
@@ -765,24 +853,6 @@ impl Store {
             .resize(target.saturating_sub(1).max(self.replace_cache.log2_size()));
         self.capacity = new_len;
         self.nodes.reserve_exact(new_len - self.nodes.len());
-        // Rebuild buckets at the new size: live nodes are exactly the chained
-        // ones, collected from the old bucket array.
-        let mut live = Vec::with_capacity(self.live_count());
-        for b in 0..self.buckets.len() {
-            let mut cur = self.buckets[b];
-            while cur != NIL {
-                live.push(cur);
-                cur = self.nodes[cur as usize].next;
-            }
-        }
-        self.buckets = vec![NIL; new_len];
-        self.bucket_mask = new_len - 1;
-        for idx in live {
-            let n = self.nodes[idx as usize];
-            let slot = hash3(n.level, n.low, n.high) & self.bucket_mask;
-            self.nodes[idx as usize].next = self.buckets[slot];
-            self.buckets[slot] = idx;
-        }
     }
 
     /// Stable id for a quantification variable set; same set, same id, so
@@ -1559,14 +1629,7 @@ impl Store {
             self.free_slots() > 0,
             "swap ran out of pre-reserved capacity"
         );
-        let idx = self.alloc_slot(Node {
-            level,
-            low,
-            high,
-            refcount: 0,
-            next: self.buckets[slot],
-        });
-        self.buckets[slot] = idx;
+        let idx = self.insert_new(slot, level, low, high);
         if idx as usize >= ctx.rc.len() {
             // A never-used slot: the context covers the used prefix only.
             ctx.rc.resize(idx as usize + 1, 0);
@@ -1672,10 +1735,14 @@ impl Store {
             } else {
                 (f1, f1)
             };
-            self.bucket_remove(u);
+            // `u` stays chained under its old fields until both children
+            // exist: a `swap_node` allocation may rehash the used prefix,
+            // which chains every live node under the fields it has then.
+            // The lookups are at level l + 1, so they cannot find `u`.
             let a = self.swap_node(l + 1, f00, f10, ctx);
             let b = self.swap_node(l + 1, f01, f11, ctx);
             debug_assert_ne!(a, b, "rewritten node collapsed to a redundant test");
+            self.bucket_remove(u);
             {
                 let n = &mut self.nodes[u as usize];
                 n.level = l;
@@ -1938,6 +2005,32 @@ mod sanitize_tests {
     }
 
     #[test]
+    fn new_store_allocates_min_buckets_not_capacity() {
+        let s = Store::new(4, 1 << 20);
+        assert_eq!(s.capacity, 1 << 20);
+        assert_eq!(s.buckets.len(), MIN_BUCKETS);
+        assert_eq!(s.bucket_mask, MIN_BUCKETS - 1);
+    }
+
+    #[test]
+    fn bucket_array_shorter_than_the_used_prefix_is_caught() {
+        // Shrink the bucket array without rehashing: nodes past its end can
+        // no longer be found, and `mk` would duplicate them.
+        let (mut s, _, _) = store_with_chain();
+        s.buckets.truncate(2);
+        s.bucket_mask = 1;
+        let err = s.check_invariants().unwrap_err();
+        assert!(
+            err.contains("bucket array of 2 is shorter than the used prefix of 4 slots"),
+            "{err}"
+        );
+        let (mut s, _, _) = store_with_chain();
+        s.buckets.truncate(MIN_BUCKETS - 1);
+        let err = s.check_invariants().unwrap_err();
+        assert!(err.contains("is not a power of two"), "{err}");
+    }
+
+    #[test]
     fn unreduced_node_is_caught() {
         let (mut s, a, _) = store_with_chain();
         s.nodes[a as usize].high = s.nodes[a as usize].low;
@@ -1973,6 +2066,25 @@ mod sanitize_tests {
         }
         let err = s.check_invariants().unwrap_err();
         assert!(err.contains("missing from bucket"), "{err}");
+    }
+
+    #[test]
+    fn node_on_a_foreign_bucket_chain_is_caught() {
+        let (mut s, a, _) = store_with_chain();
+        // A stale head left behind by a rehash: `a` stays on its own chain
+        // but is linked from a bucket it does not hash to as well.
+        let n = s.nodes[a as usize];
+        let own = hash3(n.level, n.low, n.high) & s.bucket_mask;
+        let b = (own + 1) & s.bucket_mask;
+        assert_eq!(s.buckets[b], NIL);
+        s.buckets[b] = a;
+        let err = s.check_invariants().unwrap_err();
+        assert!(
+            err.contains(&format!(
+                "node {a} on bucket {b} chain hashes to bucket {own}"
+            )),
+            "{err}"
+        );
     }
 
     #[test]

@@ -239,8 +239,9 @@ fn run() -> Result<ExitCode, CliError> {
         eprint!("{}", stats.stratum_summary());
         let bs = engine.manager().stats();
         eprintln!(
-            "op caches: {:.1} MiB",
-            bs.cache_bytes as f64 / (1024.0 * 1024.0)
+            "op caches: {:.1} MiB, unique table: {:.1} MiB",
+            bs.cache_bytes as f64 / (1024.0 * 1024.0),
+            bs.table_bytes as f64 / (1024.0 * 1024.0)
         );
         // Per-solve counter deltas, including the relation-level memo
         // cache the engine layers on top of the kernel caches, then the

@@ -16,6 +16,11 @@ cargo build --release --workspace --offline
 # crates, so the workspace build above does not cover it: build it here so
 # a kernel API change that breaks it fails the verify.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# Its self-check: two traced runs of each workload on one seed must report
+# the same deterministic counters (every datalog count, every kernel cache
+# lookup count), the identity a kernel change that claims "no counter
+# moved" rests on.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --workspace --offline
 
 # Lint gate: warnings are errors across every target.
@@ -67,15 +72,16 @@ TESTKIT_BENCH_ITERS=3 TESTKIT_BENCH_WARMUP=1 \
 # performance contract.
 ./target/release/serve_probe >> results/bench_smoke.jsonl
 # A smoke solve through the bddbddb CLI: tuple files in, tuple files
-# out, and the `--stats` stratum summary on stderr. A `--naive` run of the
-# same program must write the same `path.tuples` (the stratum driver's
-# naive rounds, in release).
+# out, and the `--stats` stratum summary and table sizes on stderr. A
+# `--naive` run of the same program must write the same `path.tuples`
+# (the stratum driver's naive rounds, in release).
 tc_dir=$(mktemp -d)
 printf 'DOMAINS\nV 64\nRELATIONS\ninput edge (s : V, d : V)\noutput path (s : V, d : V)\nRULES\npath(x,y) :- edge(x,y).\npath(x,z) :- path(x,y), edge(y,z).\n' > "$tc_dir/tc.datalog"
 printf '0 1\n1 2\n2 3\n3 0\n' > "$tc_dir/edge.tuples"
 ./target/release/bddbddb "$tc_dir/tc.datalog" --facts "$tc_dir" --out "$tc_dir" --stats 2> "$tc_dir/stats.txt"
 grep -q '^0 1$' "$tc_dir/path.tuples"
 grep -q '^strata: ' "$tc_dir/stats.txt"
+grep -q ', unique table: ' "$tc_dir/stats.txt"
 mkdir "$tc_dir/naive"
 ./target/release/bddbddb "$tc_dir/tc.datalog" --facts "$tc_dir" --out "$tc_dir/naive" --naive > /dev/null 2>&1
 cmp "$tc_dir/path.tuples" "$tc_dir/naive/path.tuples"

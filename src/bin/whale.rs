@@ -94,8 +94,9 @@ fn print_bdd_stats(s: &whale::bdd::BddStats) {
         s.reorder_runs
     );
     println!(
-        "op caches: {:.1} MiB",
-        s.cache_bytes as f64 / (1024.0 * 1024.0)
+        "op caches: {:.1} MiB, unique table: {:.1} MiB",
+        s.cache_bytes as f64 / (1024.0 * 1024.0),
+        s.table_bytes as f64 / (1024.0 * 1024.0)
     );
     for (name, c) in [
         ("apply", &s.apply_cache),

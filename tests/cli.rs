@@ -294,7 +294,7 @@ fn jobs_option_is_rejected() {
 }
 
 /// `--stats` prints the stratum summary on stdout, next to the kernel's
-/// node-table and op-cache counters.
+/// node-table, op-cache and unique-table counters.
 #[test]
 fn stats_flag_prints_strata() {
     let path = demo_file("stats");
@@ -311,5 +311,6 @@ fn stats_flag_prints_strata() {
         "{stdout}"
     );
     assert!(stdout.contains("op caches:"), "{stdout}");
+    assert!(stdout.contains(", unique table: "), "{stdout}");
     std::fs::remove_file(&path).ok();
 }
