@@ -515,17 +515,6 @@ impl BddManager {
         self.store.borrow().sanitize
     }
 
-    /// Runs [`BddManager::check_invariants`] and panics with `context` on
-    /// a violation — but only when the sanitizer is enabled; otherwise a
-    /// no-op. The hook clients place at points where they want the table
-    /// audited (snapshot restore calls it after every rebuild).
-    pub fn sanitize_check(&self, context: &str) {
-        let s = self.store.borrow();
-        if s.sanitize {
-            s.sanitize_check(context);
-        }
-    }
-
     /// Current node-table statistics.
     pub fn stats(&self) -> BddStats {
         let mut s = self.store.borrow_mut();

@@ -455,7 +455,7 @@ fn io_roundtrip_with_root_level_siblings() {
     // A function whose root shares its level with another node of the same
     // level reachable in the DAG — regression for root identification by
     // position instead of id.
-    use whale_bdd::io::{read_bdd, transfer, write_bdd};
+    use whale_bdd::io::{read_bdd, write_bdd};
     let m = BddManager::with_vars(6);
     // f = x0 ? (x1 ∧ x2) : (x1 ∨ x3): nodes at level 1 appear twice below
     // different branches; serialize a SUBfunction whose root level (1) has
@@ -467,9 +467,5 @@ fn io_roundtrip_with_root_level_siblings() {
         let mut buf = Vec::new();
         write_bdd(func, &mut buf).unwrap();
         assert_eq!(&read_bdd(&m, buf.as_slice()).unwrap(), func);
-        let m2 = BddManager::with_vars(6);
-        let map: Vec<u32> = (0..6).collect();
-        let t = transfer(func, &m2, &map).unwrap();
-        assert_eq!(t.satcount() as u64, func.satcount() as u64);
     }
 }

@@ -69,8 +69,8 @@ fn snapshot_restore_roundtrip_under_sanitizer() {
         rel = rel.or(&t);
     }
     let snap = BddSnapshot::of(&rel);
-    // Restore runs the equivalence audit internally when sanitizing;
-    // shipping both ways must reproduce the function bit-for-bit.
+    // Shipping both ways must reproduce the function bit-for-bit, and the
+    // receiving table must pass the audit.
     let over_there = snap.restore(&dst).unwrap();
     let back = BddSnapshot::of(&over_there).restore(&src).unwrap();
     assert_eq!(back, rel);

@@ -6,9 +6,11 @@
 //! through `Engine::solve_query`, and emits one JSON line comparing the
 //! two: solve times, rule applications, magic/pruned rule counts and the
 //! answer size. Asserts the two agree tuple-for-tuple, that the query
-//! evaluates strictly fewer rule applications than the full solve, and
-//! that the answer is byte-identical across a repeat run — so the CI
-//! smoke run doubles as a determinism check. Pass a
+//! evaluates strictly fewer rule applications than the full solve, that
+//! the answer is byte-identical across a repeat run — so the CI smoke run
+//! doubles as a determinism check — and that the host engine's `vPC` is
+//! the same after both queries as before them (the query solves run on
+//! the host's manager and evaluator). Pass a
 //! Figure 3 benchmark name and a scale denominator for real workloads:
 //! `query_probe nfcchat 16`.
 
@@ -45,6 +47,7 @@ fn main() {
     // points anywhere, bound; context and heap free.
     let mut all = full.engine.relation_tuples("vPC").unwrap();
     all.sort_unstable();
+    let host_before = full.engine.relation_bdd("vPC").unwrap();
     let v = all.first().expect("vPC is empty")[1];
     let mut expect = full.engine.relation_select("vPC", &[(1, v)]).unwrap();
     expect.sort_unstable();
@@ -64,6 +67,12 @@ fn main() {
     // Determinism: a repeat run returns byte-identical answers.
     let again = full.engine.solve_query(&atom).unwrap();
     assert_eq!(q.tuples, again.tuples, "repeat query diverged");
+
+    // Host untouched: the query solves shared its manager and evaluator.
+    assert_eq!(full.engine.relation_bdd("vPC").unwrap(), host_before);
+    let mut after = full.engine.relation_tuples("vPC").unwrap();
+    after.sort_unstable();
+    assert_eq!(after, all, "the queries changed the host's vPC");
 
     println!(
         "{{\"bench\":\"query/{name}\",\"query\":\"{atom}\",\"answers\":{},\

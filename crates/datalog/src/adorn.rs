@@ -89,28 +89,7 @@ pub(crate) fn adorn(
     program: &Program,
     query: &crate::ast::Atom,
 ) -> Result<AdornResult, DatalogError> {
-    let decl = program.relation(&query.relation)?;
-    if decl.attrs.len() != query.args.len() {
-        return Err(DatalogError::ArityMismatch {
-            relation: query.relation.clone(),
-            expected: decl.attrs.len(),
-            found: query.args.len(),
-            line: 0,
-            col: 0,
-        });
-    }
-    for ((_, dom_name), term) in decl.attrs.iter().zip(&query.args) {
-        if let Term::Const(c) = term {
-            let dom = program.domain_ix[dom_name];
-            if *c >= program.domains[dom].size {
-                return Err(DatalogError::ConstantOutOfRange {
-                    domain: dom_name.clone(),
-                    value: *c,
-                });
-            }
-        }
-        // Term::Str is resolved against name maps at engine build.
-    }
+    let q_rel = program.check_atom(query)?;
 
     let nrel = program.relations.len();
     let mut rules_of: Vec<Vec<usize>> = vec![Vec::new(); nrel];
@@ -119,7 +98,6 @@ pub(crate) fn adorn(
     }
     let is_idb = |r: usize| !rules_of[r].is_empty();
 
-    let q_rel = program.relation_ix[&query.relation];
     let q_pattern: Pattern = query
         .args
         .iter()

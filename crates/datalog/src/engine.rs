@@ -20,13 +20,13 @@ use crate::ast::{Atom, RelationKind, Term};
 use crate::eval::RuleEval;
 use crate::graph::scc_topo_order;
 use crate::magic;
-use crate::plan::{PlanContext, RulePlan};
+use crate::plan::{resolve_name, PlanContext, RulePlan};
 use crate::program::Program;
 use crate::relation::RelationState;
 use crate::DatalogError;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
-use whale_bdd::io::BddSnapshot;
 use whale_bdd::{Bdd, BddManager, BddManagerOptions, CacheStats, DomainId, DomainSpec, OrderSpec};
 
 /// Tuning knobs for [`Engine`].
@@ -198,6 +198,9 @@ pub struct QueryResult {
     pub tuples: Vec<Vec<u64>>,
     /// Statistics of the demand-restricted solve, with
     /// [`SolveStats::magic_rules`] and [`SolveStats::pruned_rules`] set.
+    /// The solve runs on the host engine's manager, so its cache counters
+    /// count lookups in the caches the host shares and
+    /// [`SolveStats::peak_live_nodes`] includes the host's nodes.
     pub stats: SolveStats,
     /// Static lints from the adornment pass: unreachable rules and
     /// binding patterns blocked by negation.
@@ -225,8 +228,11 @@ pub struct Engine {
     order_tokens: Vec<Vec<String>>,
     order_phys: Vec<Vec<String>>,
     stats: SolveStats,
-    /// Rule evaluation against the engine's own manager.
-    eval: RuleEval,
+    /// Rule evaluation against the engine's manager. Shared with every
+    /// engine [`Engine::solve_query`] derives: its interned memo tags key
+    /// the manager-wide client cache, so two evaluators on one manager
+    /// would read each other's entries under colliding tags.
+    eval: Rc<RuleEval>,
     /// Whether a fixpoint has been computed (by [`Engine::solve`] or
     /// restored via [`Engine::warm_start`]); gates delta tracking and the
     /// incremental path.
@@ -322,30 +328,13 @@ impl Engine {
             phys.push(instances);
         }
 
-        // Attribute physicals: occurrence index among same-domain attrs.
-        let mut rel = Vec::with_capacity(program.relations.len());
-        for decl in &program.relations {
-            let mut counts: HashMap<usize, usize> = HashMap::new();
-            let mut attr_phys = Vec::with_capacity(decl.attrs.len());
-            for (_, dom_name) in &decl.attrs {
-                let dom = program.domain_ix[dom_name];
-                let ix = counts.entry(dom).or_insert(0);
-                attr_phys.push(phys[dom][*ix]);
-                *ix += 1;
-            }
-            rel.push(RelationState {
-                attr_phys,
-                bdd: mgr.zero(),
-                base: mgr.zero(),
-            });
-        }
-
-        let eval = RuleEval::new(
+        let rel = relation_states(&program, &phys, &mgr);
+        let eval = Rc::new(RuleEval::new(
             mgr.clone(),
             scratch_map,
             options.fuse_renames,
             options.rel_cache,
-        );
+        ));
         Ok(Engine {
             program,
             options,
@@ -1075,25 +1064,24 @@ impl Engine {
     ///
     /// The query is compiled by adornment analysis plus the magic-set
     /// transformation (see `crate::magic`) into a derived program whose
-    /// fixpoint touches only the query-reachable slice, that program is
-    /// solved in a private engine under this engine's options (ordering,
-    /// semi-naive, reordering, relation cache), and the matching
-    /// tuples are read back. Input relations are copied across by BDD
-    /// snapshot, so facts loaded here — including relations injected with
-    /// [`Engine::set_relation_bdd`] — feed the query solve unchanged.
-    /// Answers are exactly [`Engine::solve`] + [`Engine::relation_select`]
-    /// on the query's constants, sorted.
+    /// fixpoint touches only the query-reachable slice. That program is
+    /// solved by a derived engine under this engine's options, on this
+    /// engine's manager, physical domains and rule evaluator, seeded with
+    /// this engine's input relations as they stand (facts loaded here and
+    /// relations injected with [`Engine::set_relation_bdd`]); the answer
+    /// is its [`Engine::select_atom`]. Answers are exactly
+    /// [`Engine::solve`] + [`Engine::select_atom`], sorted.
     ///
-    /// This engine's own relations and stats are untouched.
+    /// This engine's relations and stats are untouched. Its manager is
+    /// shared: with [`EngineOptions::reorder`] on, the query solve may
+    /// sift the variable order, and [`SolveStats::peak_live_nodes`] of
+    /// the result is the manager's peak, this engine's nodes included.
     ///
     /// # Errors
     ///
-    /// [`DatalogError::Parse`] for a malformed query atom; the adornment
-    /// pass's validation errors ([`DatalogError::UnknownRelation`],
-    /// [`DatalogError::ArityMismatch`],
-    /// [`DatalogError::ConstantOutOfRange`],
-    /// [`DatalogError::UnresolvedName`]); any [`Engine::solve`] error on
-    /// the derived program.
+    /// [`DatalogError::Parse`] for a malformed query atom; the atom checks
+    /// of [`Engine::select_atom`]; any [`Engine::solve`] error on the
+    /// derived program.
     pub fn solve_query(&mut self, query: &str) -> Result<QueryResult, DatalogError> {
         let atom = crate::parser::parse_query(query)?;
         self.solve_query_atom(&atom)
@@ -1107,88 +1095,92 @@ impl Engine {
     /// As [`Engine::solve_query`], minus the parse errors.
     pub fn solve_query_atom(&mut self, query: &Atom) -> Result<QueryResult, DatalogError> {
         let mt = magic::transform(&self.program, query)?;
-        let mut qprog = mt.program;
-        // Force the derived program onto this engine's physical-domain
-        // layout. The rewrite only ever needs fewer instances (magic
-        // relations and rule bodies are built from subsets of the original
-        // attributes and variables), and identical `DomainSpec`/`OrderSpec`
-        // inputs give identical variable numbering, which is what lets
-        // relation BDDs transfer across managers one-to-one below.
-        for (d, inst) in qprog.instances.iter_mut().enumerate() {
-            *inst = (*inst).max(self.program.instances[d]);
-        }
-        let mut qe = Engine::with_options(qprog, self.options.clone())?;
-        qe.name_maps = self.name_maps.clone();
-        qe.name_lists = self.name_lists.clone();
-        // Every externally-supplied relation is `input`-kind (facts via
+        let program = mt.program;
+        // The derived program keeps every domain and only ever needs fewer
+        // physical instances (magic relations and rule bodies are built
+        // from subsets of the original attributes and variables), so it
+        // lays out on this engine's physical domains.
+        let mut qe = Engine {
+            rel: relation_states(&program, &self.phys, &self.mgr),
+            program,
+            options: self.options.clone(),
+            mgr: self.mgr.clone(),
+            phys: self.phys.clone(),
+            name_maps: self.name_maps.clone(),
+            name_lists: self.name_lists.clone(),
+            order_tokens: self.order_tokens.clone(),
+            order_phys: self.order_phys.clone(),
+            stats: SolveStats::default(),
+            eval: Rc::clone(&self.eval),
+            solved: false,
+            pending_adds: HashMap::new(),
+            pending_retracts: HashMap::new(),
+        };
+        // Every externally supplied relation is `input`-kind (facts via
         // add_fact/add_facts, injected BDDs via set_relation_bdd), so
-        // copying those is enough; IDB contents are recomputed on demand.
+        // sharing those is enough; IDB contents are derived on demand.
         for (ix, decl) in self.program.relations.iter().enumerate() {
-            if decl.kind != RelationKind::Input || self.rel[ix].bdd.is_zero() {
+            if decl.kind != RelationKind::Input {
                 continue;
             }
             let Some(&qix) = qe.program.relation_ix.get(&decl.name) else {
                 // Pruned as unreachable from the query.
                 continue;
             };
-            // Both slots: solve() resets every relation to its base, so
-            // the transferred tuples must count as base facts over there.
-            let transferred = BddSnapshot::of(&self.rel[ix].bdd).restore(&qe.mgr)?;
-            qe.rel[qix].bdd = transferred.clone();
-            qe.rel[qix].base = transferred;
+            // Both slots: solve() resets every relation to its base.
+            qe.rel[qix].bdd = self.rel[ix].bdd.clone();
+            qe.rel[qix].base = self.rel[ix].bdd.clone();
         }
         let mut stats = qe.solve()?;
         stats.magic_rules = mt.magic_rules;
         stats.pruned_rules = mt.pruned_rules;
-
-        // Read back: pin the query's constants, then filter repeated
-        // variables for equality (`path(x, x)` keeps the diagonal only).
-        let decl = &self.program.relations[self.rel_ix(&query.relation)?];
-        let mut fixed: Vec<(usize, u64)> = Vec::new();
-        for (i, t) in query.args.iter().enumerate() {
-            match t {
-                Term::Const(c) => fixed.push((i, *c)),
-                Term::Str(s) => {
-                    let dom_name = &decl.attrs[i].1;
-                    let d = self.program.domain_ix[dom_name];
-                    let v = self
-                        .name_maps
-                        .get(&d)
-                        .and_then(|m| m.get(s))
-                        .copied()
-                        .ok_or_else(|| DatalogError::UnresolvedName {
-                            domain: dom_name.clone(),
-                            name: s.clone(),
-                        })?;
-                    fixed.push((i, v));
-                }
-                Term::Var(_) | Term::Wildcard => {}
-            }
-        }
-        let mut tuples = qe.relation_select(&query.relation, &fixed)?;
-        let mut first_pos: HashMap<&str, usize> = HashMap::new();
-        let mut eqs: Vec<(usize, usize)> = Vec::new();
-        for (i, t) in query.args.iter().enumerate() {
-            if let Term::Var(v) = t {
-                match first_pos.get(v.as_str()) {
-                    Some(&j) => eqs.push((j, i)),
-                    None => {
-                        first_pos.insert(v.as_str(), i);
-                    }
-                }
-            }
-        }
-        if !eqs.is_empty() {
-            tuples.retain(|t| eqs.iter().all(|&(a, b)| t[a] == t[b]));
-        }
-        tuples.sort_unstable();
         Ok(QueryResult {
             relation: query.relation.clone(),
-            tuples,
+            tuples: qe.select_atom(query)?,
             stats,
             lints: mt.lints,
             used_magic: mt.used_magic,
         })
+    }
+
+    /// The tuples of a relation that match a query atom, read from the
+    /// relations as they stand: constants and quoted names are bound, a
+    /// repeated variable keeps only the tuples that agree on its positions
+    /// (`path(x, x)` keeps the diagonal), and the answer is sorted (BDD
+    /// enumeration order is not stable under dynamic reordering). Nothing
+    /// is derived, so the caller solves first.
+    ///
+    /// # Errors
+    ///
+    /// [`DatalogError::UnknownRelation`], [`DatalogError::ArityMismatch`],
+    /// [`DatalogError::ConstantOutOfRange`] or
+    /// [`DatalogError::UnresolvedName`] for an atom that does not fit the
+    /// program.
+    pub fn select_atom(&self, query: &Atom) -> Result<Vec<Vec<u64>>, DatalogError> {
+        let decl = &self.program.relations[self.program.check_atom(query)?];
+        let mut fixed: Vec<(usize, u64)> = Vec::new();
+        let mut first_pos: HashMap<&str, usize> = HashMap::new();
+        let mut eqs: Vec<(usize, usize)> = Vec::new();
+        for (i, t) in query.args.iter().enumerate() {
+            match t {
+                Term::Const(c) => fixed.push((i, *c)),
+                Term::Str(s) => {
+                    let dom = self.program.domain_ix[&decl.attrs[i].1];
+                    fixed.push((i, resolve_name(&self.program, &self.name_maps, dom, s)?));
+                }
+                Term::Var(v) => {
+                    let j = *first_pos.entry(v.as_str()).or_insert(i);
+                    if j != i {
+                        eqs.push((j, i));
+                    }
+                }
+                Term::Wildcard => {}
+            }
+        }
+        let mut tuples = self.relation_select(&query.relation, &fixed)?;
+        tuples.retain(|t| eqs.iter().all(|&(a, b)| t[a] == t[b]));
+        tuples.sort_unstable();
+        Ok(tuples)
     }
 
     /// The stratum driver: runs the `affected` strata in topological order
@@ -1466,6 +1458,32 @@ pub(crate) fn negation_cycle(
     }
     // Unreachable for same-SCC endpoints; degrade to the two endpoints.
     vec![from, to]
+}
+
+/// Empty relation states for `program`, each attribute on the next unused
+/// physical instance of its domain.
+fn relation_states(
+    program: &Program,
+    phys: &[Vec<DomainId>],
+    mgr: &BddManager,
+) -> Vec<RelationState> {
+    let mut rel = Vec::with_capacity(program.relations.len());
+    for decl in &program.relations {
+        let mut counts: HashMap<usize, usize> = HashMap::new();
+        let mut attr_phys = Vec::with_capacity(decl.attrs.len());
+        for (_, dom_name) in &decl.attrs {
+            let dom = program.domain_ix[dom_name];
+            let ix = counts.entry(dom).or_insert(0);
+            attr_phys.push(phys[dom][*ix]);
+            *ix += 1;
+        }
+        rel.push(RelationState {
+            attr_phys,
+            bdd: mgr.zero(),
+            base: mgr.zero(),
+        });
+    }
+    rel
 }
 
 /// Expands a logical-domain ordering string into groups of physical names.

@@ -54,7 +54,8 @@ pub(crate) struct RuleEval {
     /// Content-keyed and evaluator-lived, so a tag means the same operation
     /// across rounds *and* across solves — a stale client-cache entry from
     /// an earlier solve can therefore only ever resolve to the correct
-    /// result.
+    /// result. The client cache is manager-wide, so every engine on one
+    /// manager must share one evaluator.
     memo_tags: RefCell<HashMap<MemoOp, u32>>,
 }
 

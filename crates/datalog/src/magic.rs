@@ -255,9 +255,9 @@ pub(crate) fn transform(program: &Program, query: &Atom) -> Result<MagicOutput, 
         .collect();
     decls.extend(magic_decls);
 
-    // All domains are kept, reachable or not: the query engine must lay
-    // out the identical physical-domain list so relation BDDs transfer
-    // across managers one-to-one (see `Engine::solve_query`).
+    // All domains are kept, reachable or not: the derived engine runs on
+    // the host engine's manager and physical domains, which are indexed
+    // by logical domain (see `Engine::solve_query`).
     let derived = Program::from_parts(program.domains.clone(), decls, rules)?;
 
     if is_stratified(&derived) {

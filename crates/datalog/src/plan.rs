@@ -72,6 +72,24 @@ pub(crate) struct RulePlan {
     pub guard_vars: HashSet<String>,
 }
 
+/// The value the quoted constant `name` stands for in logical domain
+/// `dom`, through the engine's name maps.
+pub(crate) fn resolve_name(
+    program: &Program,
+    name_maps: &HashMap<usize, HashMap<String, u64>>,
+    dom: usize,
+    name: &str,
+) -> Result<u64, DatalogError> {
+    name_maps
+        .get(&dom)
+        .and_then(|m| m.get(name))
+        .copied()
+        .ok_or_else(|| DatalogError::UnresolvedName {
+            domain: program.domains[dom].name.clone(),
+            name: name.to_string(),
+        })
+}
+
 /// Everything plan construction needs from the engine.
 pub(crate) struct PlanContext<'a> {
     pub program: &'a Program,
@@ -87,20 +105,7 @@ impl<'a> PlanContext<'a> {
     fn resolve_const(&self, term: &Term, dom: usize) -> Result<Option<u64>, DatalogError> {
         match term {
             Term::Const(c) => Ok(Some(*c)),
-            Term::Str(s) => {
-                let map = self
-                    .name_maps
-                    .get(&dom)
-                    .ok_or_else(|| DatalogError::UnresolvedName {
-                        domain: self.program.domains[dom].name.clone(),
-                        name: s.clone(),
-                    })?;
-                let v = map.get(s).ok_or_else(|| DatalogError::UnresolvedName {
-                    domain: self.program.domains[dom].name.clone(),
-                    name: s.clone(),
-                })?;
-                Ok(Some(*v))
-            }
+            Term::Str(s) => resolve_name(self.program, self.name_maps, dom, s).map(Some),
             _ => Ok(None),
         }
     }

@@ -121,6 +121,34 @@ impl Program {
             })
     }
 
+    /// Checks a query atom against the declarations: the relation
+    /// exists, the arity matches, and every numeric constant is inside its
+    /// attribute's domain. Returns the relation's index. Quoted names are
+    /// resolved later, against an engine's name maps.
+    pub(crate) fn check_atom(&self, atom: &Atom) -> Result<usize, DatalogError> {
+        let decl = self.relation(&atom.relation)?;
+        if decl.attrs.len() != atom.args.len() {
+            return Err(DatalogError::ArityMismatch {
+                relation: atom.relation.clone(),
+                expected: decl.attrs.len(),
+                found: atom.args.len(),
+                line: 0,
+                col: 0,
+            });
+        }
+        for ((_, dom_name), term) in decl.attrs.iter().zip(&atom.args) {
+            if let Term::Const(c) = term {
+                if *c >= self.domains[self.domain_ix[dom_name]].size {
+                    return Err(DatalogError::ConstantOutOfRange {
+                        domain: dom_name.clone(),
+                        value: *c,
+                    });
+                }
+            }
+        }
+        Ok(self.relation_ix[&atom.relation])
+    }
+
     fn validate(&mut self) -> Result<(), DatalogError> {
         // Per-rule: arity, typing, safety.
         let mut rule_var_domains = Vec::with_capacity(self.rules.len());

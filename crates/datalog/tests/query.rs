@@ -2,9 +2,10 @@
 //! what a full solve plus `relation_select` returns, across engine
 //! configurations, while evaluating a restricted (magic-transformed)
 //! program. Also covers the stratification fallback, quoted constants,
-//! repeated query variables, and query-atom validation.
+//! repeated query variables, query-atom validation, and the rule evaluator
+//! a query solve shares with its host engine.
 
-use whale_datalog::{DatalogError, Engine, EngineOptions, Program};
+use whale_datalog::{parse_query, DatalogError, Engine, EngineOptions, Program};
 
 const TC: &str = r#"
 DOMAINS
@@ -230,4 +231,62 @@ fn query_atom_validation_errors() {
         e.solve_query("path(0, y) :- edge(0, y)").unwrap_err(),
         DatalogError::Parse { .. }
     ));
+}
+
+/// Two rules that project one input onto different columns.
+const PROJECTIONS: &str = r#"
+DOMAINS
+V 8
+
+RELATIONS
+input edge (src : V, dst : V)
+output a (x : V)
+output b (y : V)
+
+RULES
+a(x) :- edge(x,_).
+b(y) :- edge(_,y).
+"#;
+
+#[test]
+fn query_solves_share_the_host_evaluator() {
+    // A query solves on the host's manager, whose relation memo is keyed
+    // by the evaluator's interned operation tags. The two projections of
+    // `edge` get different tags; a query engine with its own evaluator
+    // would reuse the numbers for other operations and read the host's
+    // cached projection of the wrong column.
+    let engine = |facts: &[[u64; 2]]| {
+        let mut e = Engine::new(Program::parse(PROJECTIONS).unwrap()).unwrap();
+        e.add_facts("edge", facts).unwrap();
+        e
+    };
+    let check_queries = |e: &mut Engine| {
+        for q in ["a(x)", "b(4)", "b(y)", "a(3)"] {
+            let select = e.select_atom(&parse_query(q).unwrap()).unwrap();
+            assert_eq!(e.solve_query(q).unwrap().tuples, select, "{q}");
+        }
+    };
+    let mut e = engine(&[[1, 2], [3, 4]]);
+    e.solve().unwrap();
+    assert_eq!(
+        e.select_atom(&parse_query("a(x)").unwrap()).unwrap(),
+        [[1], [3]]
+    );
+    assert_eq!(e.select_atom(&parse_query("b(4)").unwrap()).unwrap(), [[4]]);
+    check_queries(&mut e);
+
+    // The query solves leave nothing behind that misleads the host's own
+    // incremental solve.
+    e.add_facts("edge", [[5, 6]]).unwrap();
+    e.solve_incremental().unwrap();
+    check_queries(&mut e);
+    let mut fresh = engine(&[[1, 2], [3, 4], [5, 6]]);
+    fresh.solve().unwrap();
+    for rel in ["edge", "a", "b"] {
+        let mut mine = e.relation_tuples(rel).unwrap();
+        let mut theirs = fresh.relation_tuples(rel).unwrap();
+        mine.sort_unstable();
+        theirs.sort_unstable();
+        assert_eq!(mine, theirs, "{rel}");
+    }
 }

@@ -106,16 +106,19 @@ grep -q '"ok":false' "$serve_dir/out.jsonl"
 grep -q '"id":4' "$serve_dir/out.jsonl"
 ls "$serve_dir/cache"/*.whalecache > /dev/null
 # Second session warm-starts from that cache (same facts, same key),
-# then absorbs a fact delta and answers the re-query incrementally.
+# then absorbs a fact delta, answers the re-query incrementally and reads
+# the solved relation through `query`.
 printf '%s\n' \
   '{"op":"count","relation":"vP","id":1}' \
   '{"op":"add_facts","relation":"assign0","tuples":[[0,0]],"id":2}' \
   '{"op":"count","relation":"vP","id":3}' \
-  '{"op":"shutdown","id":4}' \
+  '{"op":"query","atom":"vP(v, h)","id":4}' \
+  '{"op":"shutdown","id":5}' \
   | ./target/release/whale serve "$serve_dir/app.whale" --ci --cache-dir "$serve_dir/cache" \
     > "$serve_dir/out2.jsonl" 2> "$serve_dir/err.txt"
 grep -q 'warm start from cache' "$serve_dir/err.txt"
-[ "$(grep -c '"ok":true' "$serve_dir/out2.jsonl")" -eq 4 ]
+[ "$(grep -c '"ok":true' "$serve_dir/out2.jsonl")" -eq 5 ]
+grep -q '"op":"query".*"tuples":\[\[' "$serve_dir/out2.jsonl"
 grep -q '"pending":true' "$serve_dir/out2.jsonl"
 rm -rf "$serve_dir"
 echo "ci.sh: serve daemon smoke OK"
@@ -138,8 +141,8 @@ echo "ci.sh: analyzer fixture gate OK"
 
 # Sanitizer pass: the kernel and engine suites again, with the BDD
 # invariant sanitizer compiled in and armed (unique-table canonicity,
-# level ordering, free-list/cache audits at every GC, reorder, snapshot
-# and snapshot restore — see DESIGN.md §5j).
+# level ordering, free-list/cache audits at every GC and reorder — see
+# DESIGN.md §5j).
 cargo test -q -p whale-bdd -p whale-datalog --features sanitize --offline
 echo "ci.sh: sanitize test pass OK"
 

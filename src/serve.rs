@@ -21,7 +21,7 @@
 //! | `relations`      | —                              | declared relations        |
 //! | `count`          | `relation`                     | exact tuple count         |
 //! | `select`         | `relation`, `fixed: [[ix,v]]`  | matching tuples           |
-//! | `query`          | `atom: "vP(3, h)"`             | demand-driven (magic) answer |
+//! | `query`          | `atom: "vP(3, h)"`             | matching tuples           |
 //! | `add_facts`      | `relation`, `tuples: [[..]]`   | pending-delta ack         |
 //! | `retract_facts`  | `relation`, `tuples: [[..]]`   | pending-delta ack         |
 //! | `solve`          | —                              | incremental solve stats   |
@@ -52,7 +52,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
-use whale_datalog::{json_string, Engine, SolveStats};
+use whale_datalog::{json_string, parse_query, Engine, SolveStats};
 
 /// Nesting depth cap for incoming JSON: IDE/CI requests are flat, so
 /// anything deeper is hostile or broken, and bounding it keeps the
@@ -484,15 +484,13 @@ impl Server {
                 ))
             }
             "query" => {
-                let atom = str_field(req, "atom")?;
+                let atom = parse_query(str_field(req, "atom")?).map_err(stringify)?;
                 self.ensure_solved()?;
-                let result = self.engine.solve_query(atom).map_err(stringify)?;
+                let tuples = self.engine.select_atom(&atom).map_err(stringify)?;
                 Ok(format!(
-                    "\"relation\":{},\"tuples\":{},\"rule_applications\":{},\"used_magic\":{}",
-                    json_string(&result.relation),
-                    encode_tuples(&result.tuples),
-                    result.stats.rule_applications,
-                    result.used_magic
+                    "\"relation\":{},\"tuples\":{}",
+                    json_string(&atom.relation),
+                    encode_tuples(&tuples)
                 ))
             }
             "add_facts" => {

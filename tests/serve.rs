@@ -4,7 +4,7 @@
 
 use std::io::Cursor;
 use whale::datalog::{Engine, Program};
-use whale::serve::Server;
+use whale::serve::{parse_json, Json, Server};
 
 const TC: &str = "\
 DOMAINS
@@ -217,4 +217,94 @@ fn oversized_request_is_rejected_in_band() {
     assert!(lines[0].contains("\"ok\":false"), "{}", lines[0]);
     assert!(lines[0].contains("size limit"), "{}", lines[0]);
     assert!(lines[1].contains("\"ok\":true"), "{}", lines[1]);
+}
+
+/// The sorted `tuples` of an `"ok":true` response line.
+fn response_tuples(line: &str) -> Vec<Vec<u64>> {
+    let resp = parse_json(line).unwrap();
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{line}");
+    let mut tuples: Vec<Vec<u64>> = resp
+        .get("tuples")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|t| {
+            t.as_arr()
+                .unwrap()
+                .iter()
+                .map(|v| v.as_u64().unwrap())
+                .collect()
+        })
+        .collect();
+    tuples.sort_unstable();
+    tuples
+}
+
+#[test]
+fn query_reads_the_solved_relations() {
+    // A cycle 0 → 1 → 2 → 0 plus a tail 2 → 3: `path(x, x)` is the cycle.
+    let mut e = Engine::new(Program::parse(TC).unwrap()).unwrap();
+    e.add_facts("edge", [[0, 1], [1, 2], [2, 0], [2, 3]])
+        .unwrap();
+    let mut server = Server::new(e, None);
+    let (lines, _) = run_session(
+        &mut server,
+        &[
+            r#"{"op":"query","atom":"path(x, x)","id":1}"#,
+            r#"{"op":"select","relation":"path","id":2}"#,
+            r#"{"op":"query","atom":"path(x, 3)","id":3}"#,
+            r#"{"op":"select","relation":"path","fixed":[[1,3]],"id":4}"#,
+            r#"{"op":"add_facts","relation":"edge","tuples":[[3,4]],"id":5}"#,
+            r#"{"op":"query","atom":"path(1, y)","id":6}"#,
+            r#"{"op":"select","relation":"path","fixed":[[0,1]],"id":7}"#,
+        ],
+    );
+    assert_eq!(lines.len(), 7);
+    // A repeated variable keeps the diagonal of the solved relation.
+    let diagonal: Vec<Vec<u64>> = response_tuples(&lines[1])
+        .into_iter()
+        .filter(|t| t[0] == t[1])
+        .collect();
+    assert_eq!(response_tuples(&lines[0]), diagonal);
+    assert_eq!(diagonal, [[0, 0], [1, 1], [2, 2]]);
+    // A bound second column.
+    assert_eq!(response_tuples(&lines[2]), response_tuples(&lines[3]));
+    assert_eq!(response_tuples(&lines[2]), [[0, 3], [1, 3], [2, 3]]);
+    // A query sent while a delta is pending reads the folded solution.
+    assert!(lines[4].contains("\"pending\":true"), "{}", lines[4]);
+    assert_eq!(response_tuples(&lines[5]), response_tuples(&lines[6]));
+    assert!(
+        response_tuples(&lines[5]).contains(&vec![1, 4]),
+        "{}",
+        lines[5]
+    );
+    // The response is the relation and its tuples, nothing about a solve.
+    for line in [&lines[0], &lines[2], &lines[5]] {
+        assert!(line.contains("\"relation\":\"path\""), "{line}");
+        assert!(!line.contains("rule_applications"), "{line}");
+    }
+}
+
+#[test]
+fn bad_query_atoms_are_rejected_in_band() {
+    let mut server = Server::new(engine_with_chain(), None);
+    let requests = [
+        r#"{"op":"query","atom":"nope(x)","id":1}"#,
+        r#"{"op":"query","atom":"path(x)","id":2}"#,
+        r#"{"op":"query","atom":"path(99, y)","id":3}"#,
+        r#"{"op":"query","atom":"path(x, y) :- edge(x, y).","id":4}"#,
+        r#"{"op":"query","atom":"path(0, y)","id":5}"#,
+    ];
+    let (lines, shutdown) = run_session(&mut server, &requests);
+    assert!(!shutdown);
+    assert_eq!(lines.len(), requests.len());
+    for (ix, line) in lines.iter().take(4).enumerate() {
+        assert!(line.contains("\"ok\":false"), "line {ix}: {line}");
+        assert!(line.contains(&format!("\"id\":{}", ix + 1)), "{line}");
+    }
+    assert!(lines[0].contains("nope"), "{}", lines[0]);
+    assert!(lines[1].contains("2 attributes"), "{}", lines[1]);
+    assert!(lines[2].contains("99"), "{}", lines[2]);
+    // The connection keeps serving.
+    assert_eq!(response_tuples(&lines[4]), [[0, 1], [0, 2]]);
 }
