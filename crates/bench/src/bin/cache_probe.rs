@@ -18,9 +18,9 @@
 
 use std::process::ExitCode;
 use std::time::Instant;
+use whale_bench::sweep_config;
 use whale_core::{context_sensitive, number_contexts, CallGraph, CS_ORDER};
 use whale_datalog::EngineOptions;
-use whale_ir::synth::SynthConfig;
 use whale_ir::Facts;
 
 fn main() -> ExitCode {
@@ -37,24 +37,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let config = SynthConfig {
-        name: format!("cacheprobe{layers}"),
-        seed: 0xdead,
-        layers,
-        width: 24,
-        fan_in: 3,
-        classes: 18,
-        dispatch_fanout: 2,
-        virtual_pct: 50,
-        recursion_pct: 10,
-        allocs_per_method: 2,
-        field_ops_per_method: 2,
-        threads: 0,
-        shared_pct: 0,
-        parallel_sites: 1,
-        races: 0,
-        taint: 0,
-    };
+    let config = sweep_config(layers);
     let program = whale_ir::synth::generate(&config);
     let facts = Facts::extract(&program);
     let cg = CallGraph::from_cha(&facts).unwrap();

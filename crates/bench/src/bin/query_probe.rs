@@ -15,23 +15,16 @@
 //! `query_probe nfcchat 16`.
 
 use std::time::Instant;
+use whale_bench::config_or_exit;
 use whale_core::{context_sensitive, number_contexts, CallGraph};
-use whale_ir::synth::{self, SynthConfig};
+use whale_ir::synth;
 use whale_ir::Facts;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let name = args.get(1).map(String::as_str).unwrap_or("tiny");
     let den: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16);
-    let config = if name == "tiny" {
-        SynthConfig::tiny("tiny", 0x5eed)
-    } else {
-        synth::benchmarks()
-            .into_iter()
-            .find(|c| c.name == name)
-            .expect("unknown benchmark name")
-            .scaled(1, den)
-    };
+    let config = config_or_exit(name, 1, den);
 
     let program = synth::generate(&config);
     let facts = Facts::extract(&program);

@@ -13,13 +13,14 @@
 //!
 //! Defaults to the tiny config so the CI smoke run stays fast; pass a
 //! Figure 3 benchmark name and a scale denominator for real workloads:
-//! `reorder_probe javac 8`.
+//! `reorder_probe nfcchat 8`.
 
 use std::time::Instant;
 use whale_bdd::BddManager;
+use whale_bench::config_or_exit;
 use whale_core::{context_insensitive, CallGraphMode, CI_ORDER};
 use whale_datalog::EngineOptions;
-use whale_ir::synth::{self, SynthConfig};
+use whale_ir::synth;
 use whale_ir::Facts;
 
 fn kernel_probe() {
@@ -48,15 +49,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let name = args.get(1).map(String::as_str).unwrap_or("tiny");
     let den: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16);
-    let config = if name == "tiny" {
-        SynthConfig::tiny("tiny", 0x5eed)
-    } else {
-        synth::benchmarks()
-            .into_iter()
-            .find(|c| c.name == name)
-            .expect("unknown benchmark name")
-            .scaled(1, den)
-    };
+    let config = config_or_exit(name, 1, den);
 
     kernel_probe();
 

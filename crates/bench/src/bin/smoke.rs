@@ -2,6 +2,7 @@
 //! at a chosen scale, printing wall time and peak BDD nodes.
 
 use std::time::Instant;
+use whale_bench::config_or_exit;
 use whale_core::{
     context_insensitive, context_sensitive, cs_type_analysis, number_contexts, thread_escape,
     CallGraph, CallGraphMode,
@@ -13,11 +14,7 @@ fn main() {
     let name = args.get(1).map(String::as_str).unwrap_or("freetts");
     let num: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
     let den: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1);
-    let config = synth::benchmarks()
-        .into_iter()
-        .find(|c| c.name == name)
-        .expect("known benchmark")
-        .scaled(num, den);
+    let config = config_or_exit(name, num, den);
     let t0 = Instant::now();
     let program = synth::generate(&config);
     let facts = Facts::extract(&program);

@@ -9,8 +9,9 @@
 //! denominator for real workloads: `taint_probe nfcchat 16 4`.
 
 use std::time::Instant;
+use whale_bench::config_or_exit;
 use whale_core::{number_contexts, taint_analysis, CallGraph};
-use whale_ir::synth::{self, SynthConfig};
+use whale_ir::synth;
 use whale_ir::{Facts, TaintSpec};
 
 fn main() {
@@ -18,15 +19,7 @@ fn main() {
     let name = args.get(1).map(String::as_str).unwrap_or("tiny");
     let den: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16);
     let taint: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(3);
-    let mut config = if name == "tiny" {
-        SynthConfig::tiny("tiny", 0x5eed)
-    } else {
-        synth::benchmarks()
-            .into_iter()
-            .find(|c| c.name == name)
-            .expect("unknown benchmark name")
-            .scaled(1, den)
-    };
+    let mut config = config_or_exit(name, 1, den);
     config.taint = taint;
 
     let program = synth::generate(&config);

@@ -55,7 +55,6 @@ pub fn default_options(order: &str) -> EngineOptions {
     EngineOptions {
         seminaive: true,
         order: Some(order.into()),
-        fuse_renames: true,
         reorder: false,
         ..EngineOptions::default()
     }

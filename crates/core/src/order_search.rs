@@ -119,7 +119,6 @@ pub fn search_ci_order(
             Some(whale_datalog::EngineOptions {
                 seminaive: true,
                 order: Some(order.to_string()),
-                fuse_renames: true,
                 reorder,
                 ..whale_datalog::EngineOptions::default()
             }),

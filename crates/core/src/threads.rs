@@ -321,7 +321,6 @@ unneededSyncs(c,v) :- syncs(v), vPT(c,v,_,_), !neededSyncs(c,v).
         options.unwrap_or(EngineOptions {
             seminaive: true,
             order: Some(crate::analyses::CS_ORDER.into()),
-            fuse_renames: true,
             reorder: false,
             ..EngineOptions::default()
         }),

@@ -451,7 +451,6 @@ fn cs_naive_and_seminaive_agree() {
             Some(EngineOptions {
                 seminaive,
                 order: None,
-                fuse_renames: true,
                 reorder: false,
                 ..EngineOptions::default()
             }),

@@ -34,25 +34,14 @@ use whale_bdd::{Bdd, BddManager, BddManagerOptions, CacheStats, DomainId, Domain
 pub struct EngineOptions {
     /// Use semi-naive (incrementalized) evaluation for recursive components.
     /// Disable only for the ablation benchmark; naive evaluation computes
-    /// the same fixpoint more slowly. Record: the `ablations` bench's
-    /// `engine/*` rows (EXPERIMENTS.md "Ablations") — parity on shallow
-    /// fixpoints, 4.5 s semi-naive against 12.7 s naive on sshterm 1/8.
+    /// the same fixpoint more slowly. Record: `figures --fig ablations`
+    /// (EXPERIMENTS.md "Ablations") — parity on shallow fixpoints, 7.3 s
+    /// semi-naive against 13.4 s naive on sshterm 1/8.
     pub seminaive: bool,
     /// Variable-ordering string over *logical* domain names (e.g.
     /// `"N_F_I_M_VxH"`), or physical instances (`"V1_V0"`). `None` lays the
     /// domains out in declaration order, instances interleaved.
     pub order: Option<String>,
-    /// Fold each atom's attribute renames into the subsequent join as one
-    /// fused `replace_relprod` kernel call when the rename is monotone
-    /// (falling back to rename-then-join otherwise). Disable only for the
-    /// ablation benchmark; the result is bit-identical either way.
-    /// Records: in `results/bench_smoke.jsonl` the fused kernel call
-    /// (`bdd/replace_relprod_fused`) beats rename-then-join
-    /// (`bdd/replace_relprod_composed`) by 1.6–1.7x; end to end, the
-    /// `scaling_paths/layersN_*_unfused` rows of
-    /// `results/bench_scaling.jsonl` sit within run-to-run noise of the
-    /// fused rows, either side winning at some depth.
-    pub fuse_renames: bool,
     /// Run dynamic variable reordering (sifting) between fixpoint rounds
     /// once the node table outgrows an adaptive threshold. The fixpoint is
     /// unchanged — only BDD sizes move; reorder effort is reported in
@@ -85,7 +74,6 @@ impl Default for EngineOptions {
         EngineOptions {
             seminaive: true,
             order: None,
-            fuse_renames: true,
             reorder: false,
             rel_cache: true,
         }
@@ -329,12 +317,7 @@ impl Engine {
         }
 
         let rel = relation_states(&program, &phys, &mgr);
-        let eval = Rc::new(RuleEval::new(
-            mgr.clone(),
-            scratch_map,
-            options.fuse_renames,
-            options.rel_cache,
-        ));
+        let eval = Rc::new(RuleEval::new(mgr.clone(), scratch_map, options.rel_cache));
         Ok(Engine {
             program,
             options,

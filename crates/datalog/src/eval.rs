@@ -1,8 +1,8 @@
 //! Rule evaluation against one BDD manager.
 //!
 //! [`RuleEval`] holds exactly the state a rule application touches — the
-//! manager, the scratch-instance map for rename cycles, the fuse/memoize
-//! flags, and the interned memo-tag table — and none of the global solve
+//! manager, the scratch-instance map for rename cycles, the memoize flag,
+//! and the interned memo-tag table — and none of the global solve
 //! state (relation values, strata bookkeeping, statistics), which stays
 //! with the `Engine` that orchestrates the fixpoint.
 //!
@@ -48,7 +48,6 @@ pub(crate) struct RuleEval {
     mgr: BddManager,
     /// Scratch instance for every physical instance's logical domain.
     scratch_map: HashMap<DomainId, DomainId>,
-    fuse_renames: bool,
     rel_cache: bool,
     /// Interned tags of relation-level memo operations (see [`MemoOp`]).
     /// Content-keyed and evaluator-lived, so a tag means the same operation
@@ -63,13 +62,11 @@ impl RuleEval {
     pub(crate) fn new(
         mgr: BddManager,
         scratch_map: HashMap<DomainId, DomainId>,
-        fuse_renames: bool,
         rel_cache: bool,
     ) -> Self {
         RuleEval {
             mgr,
             scratch_map,
-            fuse_renames,
             rel_cache,
             memo_tags: RefCell::new(HashMap::new()),
         }
@@ -275,7 +272,7 @@ impl RuleEval {
             joined = self.mgr.one();
         } else {
             let a0 = &plan.positive[order[0]];
-            if self.fuse_renames && n > 1 && !a0.renames.is_empty() {
+            if n > 1 && !a0.renames.is_empty() {
                 joined = self.eval_atom_prerename(a0, &srcs[order[0]]);
                 pending = Some(a0);
             } else {

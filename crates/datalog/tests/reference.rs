@@ -204,7 +204,6 @@ fn bdd_engine_matches_reference() {
             EngineOptions {
                 seminaive: case.seminaive,
                 order: None,
-                fuse_renames: true,
                 reorder: false,
                 ..EngineOptions::default()
             },

@@ -109,7 +109,6 @@ fn seminaive_and_naive_agree() {
             EngineOptions {
                 seminaive,
                 order: None,
-                fuse_renames: true,
                 reorder: false,
                 ..EngineOptions::default()
             },
@@ -482,7 +481,6 @@ fn custom_order_string() {
             EngineOptions {
                 seminaive: true,
                 order: Some(order.into()),
-                fuse_renames: true,
                 reorder: false,
                 ..EngineOptions::default()
             },
@@ -503,7 +501,6 @@ fn bad_order_string_rejected() {
         EngineOptions {
             seminaive: true,
             order: Some("V_W".into()),
-            fuse_renames: true,
             reorder: false,
             ..EngineOptions::default()
         },
@@ -763,7 +760,6 @@ unreached(x) :- node(x), !reach(x).
             EngineOptions {
                 seminaive,
                 order: None,
-                fuse_renames: true,
                 reorder: false,
                 ..EngineOptions::default()
             },

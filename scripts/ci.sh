@@ -71,6 +71,12 @@ TESTKIT_BENCH_ITERS=3 TESTKIT_BENCH_WARMUP=1 \
 # while matching a from-scratch solve byte for byte — the `whale serve`
 # performance contract.
 ./target/release/serve_probe >> results/bench_smoke.jsonl
+# Evaluation gate: Figures 3-6 on two rows at scale 1/64, wall times
+# stripped, must match the committed counters byte for byte. A change
+# that moves a count on purpose regenerates the file with the same
+# pipeline and says why.
+./target/release/figures --fig 3,4,5,6 --scale 1/64 --only freetts,pmd --json \
+    | sed -E 's/,?"time_s":[0-9.]+//g' | diff results/figures_smoke.jsonl -
 # A smoke solve through the bddbddb CLI: tuple files in, tuple files
 # out, and the `--stats` stratum summary and table sizes on stderr. A
 # `--naive` run of the same program must write the same `path.tuples`
