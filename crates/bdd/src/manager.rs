@@ -101,6 +101,29 @@ impl BddStats {
     pub fn peak_bytes(&self) -> usize {
         self.peak_live_nodes * NODE_BYTES
     }
+
+    /// The op-cache table the CLIs print under `--stats`: one line with
+    /// the cache and unique-table sizes, then one line per `(name,
+    /// counters)` row with hits, misses, evictions and hit rate. Callers
+    /// pick the rows (lifetime or per-solve counters).
+    pub fn cache_table(&self, rows: &[(&str, &CacheStats)]) -> String {
+        const MIB: f64 = 1024.0 * 1024.0;
+        let mut out = format!(
+            "op caches: {:.1} MiB, unique table: {:.1} MiB\n",
+            self.cache_bytes as f64 / MIB,
+            self.table_bytes as f64 / MIB
+        );
+        for (name, c) in rows {
+            out.push_str(&format!(
+                "  {name:<8} hits={:<10} misses={:<10} evictions={:<10} hit rate {:.1}%\n",
+                c.hits,
+                c.misses,
+                c.evictions,
+                c.hit_rate() * 100.0
+            ));
+        }
+        out
+    }
 }
 
 impl BddManager {

@@ -91,32 +91,63 @@ fn main() -> ExitCode {
         }
     };
     let (num, den) = args.scale;
-    for &fig in &args.figs {
-        if !args.json {
+    // One buffer per figure, printed figure by figure. The first figure's
+    // buffer is flushed as its rows arrive, so a one-figure run streams.
+    let mut tables: Vec<String> = args
+        .figs
+        .iter()
+        .map(|&fig| {
             let (title, columns) = header(fig);
-            match fig {
-                "scaling" => println!("Section 6.2: {title}\n{columns}"),
-                "ablations" => println!("Ablations (scale {num}/{den}): {title}\n{columns}"),
-                _ => println!("Figure {fig} (scale {num}/{den}): {title}\n{columns}"),
+            match (args.json, fig) {
+                (true, _) => String::new(),
+                (false, "scaling") => format!("Section 6.2: {title}\n{columns}\n"),
+                (false, "ablations") => {
+                    format!("Ablations (scale {num}/{den}): {title}\n{columns}\n")
+                }
+                (false, _) => format!("Figure {fig} (scale {num}/{den}): {title}\n{columns}\n"),
             }
-        }
-        let emit = |row: Row| match args.json {
-            true => println!("{}", row.json()),
-            false => print!("{}", text(&row)),
+        })
+        .collect();
+    print!("{}", std::mem::take(&mut tables[0]));
+    let mut add = |i: usize, row: Row| {
+        let line = match args.json {
+            true => format!("{}\n", row.json()),
+            false => text(&row),
         };
-        if fig == "scaling" {
-            SWEEP_LAYERS.into_iter().map(scaling_row).for_each(emit);
-            continue;
+        match i {
+            0 => print!("{line}"),
+            _ => tables[i].push_str(&line),
         }
-        for config in &args.configs {
-            emit(match fig {
-                "3" => fig3_row(&prepare_cs(config)),
-                "4" => fig4_row(&prepare_cs(config)),
-                "5" => fig5_row(&prepare_cs(config)),
-                "6" => fig6_row(&prepare_cs(config)),
-                _ => ablations_row(&prepare(config)),
-            });
+    };
+    let figs = || args.figs.iter().copied().enumerate();
+    for (i, _) in figs().filter(|&(_, fig)| fig == "scaling") {
+        SWEEP_LAYERS
+            .into_iter()
+            .for_each(|layers| add(i, scaling_row(layers)));
+    }
+    // Each benchmark is prepared once for every figure that uses it: the
+    // program generation and the Algorithm 3 discovery solve run once.
+    let wants_cs = args
+        .figs
+        .iter()
+        .any(|f| matches!(*f, "3" | "4" | "5" | "6"));
+    for config in &args.configs {
+        let cs = wants_cs.then(|| prepare_cs(config));
+        for (i, fig) in figs() {
+            let row = match (fig, &cs) {
+                ("scaling", _) => continue,
+                ("3", Some(cs)) => fig3_row(cs),
+                ("4", Some(cs)) => fig4_row(cs),
+                ("5", Some(cs)) => fig5_row(cs),
+                ("6", Some(cs)) => fig6_row(cs),
+                (_, Some(cs)) => ablations_row(&cs.base),
+                (_, None) => ablations_row(&prepare(config)),
+            };
+            add(i, row);
         }
+    }
+    for table in &tables {
+        print!("{table}");
     }
     ExitCode::SUCCESS
 }

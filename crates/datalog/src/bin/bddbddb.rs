@@ -19,11 +19,10 @@
 //! `.bdd` caching. Cached BDDs are only portable across runs using the
 //! same program and variable ordering.
 //!
-//! With `--query 'R(arg, ...)'` the program is not solved in full:
-//! the query atom (constants and quoted names pin columns, variables and
-//! `_` stay free) is compiled by the magic-set transformation into a
-//! demand-restricted program, only that is solved, and the matching
-//! tuples are printed to stdout — no output files are written.
+//! With `--query 'R(arg, ...)'` the program is solved and the tuples
+//! matching the query atom (constants and quoted names pin columns,
+//! variables and `_` stay free) are selected from the solved relation and
+//! printed to stdout — no output files are written.
 //!
 //! With `--check` the program is analyzed but never solved: the static
 //! analyzer's diagnostics (stable `E0xx`/`W0xx` codes, caret-rendered
@@ -193,21 +192,11 @@ fn run() -> Result<ExitCode, CliError> {
 
     if let Some(q) = &query {
         let result = engine.solve_query(q)?;
-        for l in &result.lints {
-            eprintln!("bddbddb: query lint: {l}");
-        }
         let s = &result.stats;
-        if result.used_magic {
-            eprintln!(
-                "query solved in {:?}: {} magic rules, {} rules pruned, {} rule applications",
-                s.solve_time, s.magic_rules, s.pruned_rules, s.rule_applications
-            );
-        } else {
-            eprintln!(
-                "query solved in {:?} without magic sets (rewrite would break stratification); {} rules pruned",
-                s.solve_time, s.pruned_rules
-            );
-        }
+        eprintln!(
+            "query solved in {:?}: {} rule applications",
+            s.solve_time, s.rule_applications
+        );
         println!("{}: {} tuples", result.relation, result.tuples.len());
         for t in &result.tuples {
             let row: Vec<String> = t.iter().map(u64::to_string).collect();
@@ -237,31 +226,21 @@ fn run() -> Result<ExitCode, CliError> {
     }
     if show_stats {
         eprint!("{}", stats.stratum_summary());
-        let bs = engine.manager().stats();
-        eprintln!(
-            "op caches: {:.1} MiB, unique table: {:.1} MiB",
-            bs.cache_bytes as f64 / (1024.0 * 1024.0),
-            bs.table_bytes as f64 / (1024.0 * 1024.0)
-        );
         // Per-solve counter deltas, including the relation-level memo
         // cache the engine layers on top of the kernel caches, then the
         // manager's exact-count memo (counts run outside solves).
-        for (name, c) in [
-            ("apply", &stats.apply_cache),
-            ("ite", &stats.ite_cache),
-            ("appex", &stats.appex_cache),
-            ("replace", &stats.replace_cache),
-            ("rel", &stats.rel_cache),
-            ("count", &bs.count_memo),
-        ] {
-            eprintln!(
-                "  {name:<8} hits={:<10} misses={:<10} evictions={:<10} hit rate {:.1}%",
-                c.hits,
-                c.misses,
-                c.evictions,
-                c.hit_rate() * 100.0
-            );
-        }
+        let bs = engine.manager().stats();
+        eprint!(
+            "{}",
+            bs.cache_table(&[
+                ("apply", &stats.apply_cache),
+                ("ite", &stats.ite_cache),
+                ("appex", &stats.appex_cache),
+                ("replace", &stats.replace_cache),
+                ("rel", &stats.rel_cache),
+                ("count", &bs.count_memo),
+            ])
+        );
     }
 
     std::fs::create_dir_all(&out_dir)?;

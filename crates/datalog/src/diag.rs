@@ -179,9 +179,9 @@ impl Diagnostic {
             DatalogError::UnreachableRule { line, col, .. } => {
                 ("W004", Severity::Warning, Span::new(*line, *col), vec![])
             }
-            DatalogError::NegationBlocksBinding { line, col, .. } => {
-                ("W005", Severity::Warning, Span::new(*line, *col), vec![])
-            }
+            // W005 (a binding pattern blocked by negation, raised by the
+            // demand-driven query rewrite that queries no longer use) is
+            // retired; codes are append-only, so it is never reused.
             DatalogError::CrossProduct {
                 line, col, groups, ..
             } => (

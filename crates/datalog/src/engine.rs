@@ -19,13 +19,11 @@
 use crate::ast::{Atom, RelationKind, Term};
 use crate::eval::RuleEval;
 use crate::graph::scc_topo_order;
-use crate::magic;
 use crate::plan::{resolve_name, PlanContext, RulePlan};
 use crate::program::Program;
 use crate::relation::RelationState;
 use crate::DatalogError;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 use whale_bdd::{Bdd, BddManager, BddManagerOptions, CacheStats, DomainId, DomainSpec, OrderSpec};
 
@@ -120,13 +118,6 @@ pub struct SolveStats {
     pub stratum_times: Vec<Duration>,
     /// Wall-clock time of the whole solve.
     pub solve_time: Duration,
-    /// Magic-set rules (the query seed plus magic-definition rules) in the
-    /// solved program. Zero outside [`Engine::solve_query`], and zero when
-    /// the transformation fell back to reachability pruning.
-    pub magic_rules: usize,
-    /// Rules of the original program dropped as unreachable from the
-    /// query. Zero outside [`Engine::solve_query`].
-    pub pruned_rules: usize,
     /// `true` when this record came from [`Engine::solve_incremental`]
     /// resuming an existing solution rather than solving from scratch.
     pub incremental: bool,
@@ -184,18 +175,10 @@ pub struct QueryResult {
     /// order and sorted (BDD enumeration order is not stable under
     /// dynamic reordering; sorting makes answers deterministic).
     pub tuples: Vec<Vec<u64>>,
-    /// Statistics of the demand-restricted solve, with
-    /// [`SolveStats::magic_rules`] and [`SolveStats::pruned_rules`] set.
-    /// The solve runs on the host engine's manager, so its cache counters
-    /// count lookups in the caches the host shares and
-    /// [`SolveStats::peak_live_nodes`] includes the host's nodes.
+    /// Statistics of the solve that brought the engine up to date before
+    /// the select (see [`Engine::ensure_solved`]); all zeros when the
+    /// engine was already solved with nothing pending.
     pub stats: SolveStats,
-    /// Static lints from the adornment pass: unreachable rules and
-    /// binding patterns blocked by negation.
-    pub lints: Vec<DatalogError>,
-    /// False when the magic rewrite would have broken stratification and
-    /// the engine fell back to solving the reachability-pruned slice.
-    pub used_magic: bool,
 }
 
 /// A Datalog program loaded into a BDD manager and ready to solve.
@@ -216,11 +199,8 @@ pub struct Engine {
     order_tokens: Vec<Vec<String>>,
     order_phys: Vec<Vec<String>>,
     stats: SolveStats,
-    /// Rule evaluation against the engine's manager. Shared with every
-    /// engine [`Engine::solve_query`] derives: its interned memo tags key
-    /// the manager-wide client cache, so two evaluators on one manager
-    /// would read each other's entries under colliding tags.
-    eval: Rc<RuleEval>,
+    /// Rule evaluation against the engine's manager.
+    eval: RuleEval,
     /// Whether a fixpoint has been computed (by [`Engine::solve`] or
     /// restored via [`Engine::warm_start`]); gates delta tracking and the
     /// incremental path.
@@ -317,7 +297,7 @@ impl Engine {
         }
 
         let rel = relation_states(&program, &phys, &mgr);
-        let eval = Rc::new(RuleEval::new(mgr.clone(), scratch_map, options.rel_cache));
+        let eval = RuleEval::new(mgr.clone(), scratch_map, options.rel_cache);
         Ok(Engine {
             program,
             options,
@@ -1042,87 +1022,39 @@ impl Engine {
         stats.strata_skipped = ncomps - stats.strata_resolved;
     }
 
-    /// Answers a single-atom query demand-driven: `vP(3, h)` asks for the
-    /// points-to set of variable 3 only.
-    ///
-    /// The query is compiled by adornment analysis plus the magic-set
-    /// transformation (see `crate::magic`) into a derived program whose
-    /// fixpoint touches only the query-reachable slice. That program is
-    /// solved by a derived engine under this engine's options, on this
-    /// engine's manager, physical domains and rule evaluator, seeded with
-    /// this engine's input relations as they stand (facts loaded here and
-    /// relations injected with [`Engine::set_relation_bdd`]); the answer
-    /// is its [`Engine::select_atom`]. Answers are exactly
-    /// [`Engine::solve`] + [`Engine::select_atom`], sorted.
-    ///
-    /// This engine's relations and stats are untouched. Its manager is
-    /// shared: with [`EngineOptions::reorder`] on, the query solve may
-    /// sift the variable order, and [`SolveStats::peak_live_nodes`] of
-    /// the result is the manager's peak, this engine's nodes included.
+    /// Brings the solution up to date with the base facts: runs
+    /// [`Engine::solve_incremental`] when the engine is unsolved or has
+    /// pending fact deltas, and nothing otherwise. Returns that solve's
+    /// statistics, or all zeros when nothing was pending.
     ///
     /// # Errors
     ///
-    /// [`DatalogError::Parse`] for a malformed query atom; the atom checks
-    /// of [`Engine::select_atom`]; any [`Engine::solve`] error on the
-    /// derived program.
-    pub fn solve_query(&mut self, query: &str) -> Result<QueryResult, DatalogError> {
-        let atom = crate::parser::parse_query(query)?;
-        self.solve_query_atom(&atom)
+    /// As [`Engine::solve`].
+    pub fn ensure_solved(&mut self) -> Result<SolveStats, DatalogError> {
+        if self.solved && !self.has_pending_deltas() {
+            return Ok(SolveStats::default());
+        }
+        self.solve_incremental()
     }
 
-    /// [`Engine::solve_query`] for an already-parsed atom (see
-    /// [`crate::parse_query`]).
+    /// Answers a single-atom query: `vP(3, h)` asks for the points-to set
+    /// of variable 3. The engine is brought up to date
+    /// ([`Engine::ensure_solved`]) and the answer is
+    /// [`Engine::select_atom`] over the solved relations, so on a solved
+    /// engine with nothing pending a query applies no rule at all.
     ///
     /// # Errors
     ///
-    /// As [`Engine::solve_query`], minus the parse errors.
-    pub fn solve_query_atom(&mut self, query: &Atom) -> Result<QueryResult, DatalogError> {
-        let mt = magic::transform(&self.program, query)?;
-        let program = mt.program;
-        // The derived program keeps every domain and only ever needs fewer
-        // physical instances (magic relations and rule bodies are built
-        // from subsets of the original attributes and variables), so it
-        // lays out on this engine's physical domains.
-        let mut qe = Engine {
-            rel: relation_states(&program, &self.phys, &self.mgr),
-            program,
-            options: self.options.clone(),
-            mgr: self.mgr.clone(),
-            phys: self.phys.clone(),
-            name_maps: self.name_maps.clone(),
-            name_lists: self.name_lists.clone(),
-            order_tokens: self.order_tokens.clone(),
-            order_phys: self.order_phys.clone(),
-            stats: SolveStats::default(),
-            eval: Rc::clone(&self.eval),
-            solved: false,
-            pending_adds: HashMap::new(),
-            pending_retracts: HashMap::new(),
-        };
-        // Every externally supplied relation is `input`-kind (facts via
-        // add_fact/add_facts, injected BDDs via set_relation_bdd), so
-        // sharing those is enough; IDB contents are derived on demand.
-        for (ix, decl) in self.program.relations.iter().enumerate() {
-            if decl.kind != RelationKind::Input {
-                continue;
-            }
-            let Some(&qix) = qe.program.relation_ix.get(&decl.name) else {
-                // Pruned as unreachable from the query.
-                continue;
-            };
-            // Both slots: solve() resets every relation to its base.
-            qe.rel[qix].bdd = self.rel[ix].bdd.clone();
-            qe.rel[qix].base = self.rel[ix].bdd.clone();
-        }
-        let mut stats = qe.solve()?;
-        stats.magic_rules = mt.magic_rules;
-        stats.pruned_rules = mt.pruned_rules;
+    /// [`DatalogError::Parse`] for a malformed query atom; any
+    /// [`Engine::solve`] error from the catch-up solve; the atom checks of
+    /// [`Engine::select_atom`].
+    pub fn solve_query(&mut self, query: &str) -> Result<QueryResult, DatalogError> {
+        let atom = crate::parser::parse_query(query)?;
+        let stats = self.ensure_solved()?;
         Ok(QueryResult {
-            relation: query.relation.clone(),
-            tuples: qe.select_atom(query)?,
+            tuples: self.select_atom(&atom)?,
+            relation: atom.relation,
             stats,
-            lints: mt.lints,
-            used_magic: mt.used_magic,
         })
     }
 
@@ -1131,7 +1063,7 @@ impl Engine {
     /// repeated variable keeps only the tuples that agree on its positions
     /// (`path(x, x)` keeps the diagonal), and the answer is sorted (BDD
     /// enumeration order is not stable under dynamic reordering). Nothing
-    /// is derived, so the caller solves first.
+    /// is derived, so the caller solves first ([`Engine::ensure_solved`]).
     ///
     /// # Errors
     ///
@@ -1347,11 +1279,10 @@ impl Engine {
     ///
     /// Returns `None`, uncounted, when a positive source is empty, making
     /// the result trivially empty. Skipping such applications keeps the
-    /// counted rule work proportional to the data actually flowing — in a
-    /// magic-transformed program most adorned variants guard on a magic
-    /// predicate that never receives demand at runtime, and this check is
-    /// what lets them cost nothing. Fact rules (no positive atoms) always
-    /// run, and an empty negated source is the universal complement.
+    /// counted rule work proportional to the data actually flowing: a rule
+    /// over a relation that holds nothing yet costs nothing. Fact rules
+    /// (no positive atoms) always run, and an empty negated source is the
+    /// universal complement.
     fn apply(
         &self,
         plan: &RulePlan,

@@ -138,24 +138,11 @@ pub enum DatalogError {
         /// 1-based column (0 if unknown).
         col: usize,
     },
-    /// Warning: a rule's head relation cannot reach any `output` (or, for
-    /// query compilation, the queried) relation through the dependency
-    /// graph, so the rule can never influence an observable result.
+    /// Warning: a rule's head relation cannot reach any `output` relation
+    /// through the dependency graph, so the rule can never influence an
+    /// observable result.
     UnreachableRule {
         /// The unreachable rule, pretty-printed.
-        rule: String,
-        /// 1-based source line of the rule (0 if unknown).
-        line: usize,
-        /// 1-based column (0 if unknown).
-        col: usize,
-    },
-    /// Warning from the adornment pass: a binding pattern cannot be pushed
-    /// through a negated occurrence of a relation, so that relation is
-    /// solved unrestricted.
-    NegationBlocksBinding {
-        /// The negated relation.
-        relation: String,
-        /// The rule containing the negation, pretty-printed.
         rule: String,
         /// 1-based source line of the rule (0 if unknown).
         line: usize,
@@ -309,16 +296,7 @@ impl fmt::Display for DatalogError {
             ),
             DatalogError::UnreachableRule { rule, line, .. } => write!(
                 f,
-                "unreachable rule `{rule}` (line {line}): its head cannot reach any output or queried relation"
-            ),
-            DatalogError::NegationBlocksBinding {
-                relation,
-                rule,
-                line,
-                ..
-            } => write!(
-                f,
-                "binding pattern blocked by negation of `{relation}` in `{rule}` (line {line}): the relation is solved unrestricted"
+                "unreachable rule `{rule}` (line {line}): its head cannot reach any output relation"
             ),
             DatalogError::CrossProduct { rule, line, groups, .. } => write!(
                 f,
@@ -391,7 +369,6 @@ impl DatalogError {
                 | DatalogError::DeadRule { .. }
                 | DatalogError::SingletonVariable { .. }
                 | DatalogError::UnreachableRule { .. }
-                | DatalogError::NegationBlocksBinding { .. }
                 | DatalogError::CrossProduct { .. }
                 | DatalogError::ExpensiveRule { .. }
                 | DatalogError::DuplicateRule { .. }

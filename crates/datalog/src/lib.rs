@@ -39,7 +39,6 @@
 //! and *incrementalization* (semi-naive fixpoint evaluation). The naive
 //! mode is kept for ablation benchmarks.
 
-mod adorn;
 pub mod analyze;
 mod ast;
 pub mod diag;
@@ -48,7 +47,6 @@ mod error;
 mod eval;
 pub mod graph;
 mod lexer;
-mod magic;
 mod parser;
 mod plan;
 mod program;
@@ -62,7 +60,7 @@ pub use error::DatalogError;
 pub use program::Program;
 
 /// Parses a single query atom such as `vP(v, 3)` or `vPC(_, v, "A@main:0")`,
-/// for use with [`Engine::solve_query_atom`]. A trailing `.` is accepted.
+/// for use with [`Engine::select_atom`]. A trailing `.` is accepted.
 ///
 /// # Errors
 ///

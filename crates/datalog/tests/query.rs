@@ -1,9 +1,9 @@
-//! Demand-driven query tests: `Engine::solve_query` must return exactly
-//! what a full solve plus `relation_select` returns, across engine
-//! configurations, while evaluating a restricted (magic-transformed)
-//! program. Also covers the stratification fallback, quoted constants,
-//! repeated query variables, query-atom validation, and the rule evaluator
-//! a query solve shares with its host engine.
+//! Query tests: `Engine::solve_query` brings the engine up to date and
+//! selects, so it must return exactly what a full solve plus
+//! `relation_select` returns, across engine configurations and after fact
+//! deltas, and must apply no rule on an engine that is already solved.
+//! Also covers negation below the queried relation, quoted constants,
+//! repeated query variables and query-atom validation.
 
 use whale_datalog::{parse_query, DatalogError, Engine, EngineOptions, Program};
 
@@ -56,10 +56,6 @@ fn reference(
 
 #[test]
 fn query_matches_full_solve_across_configs() {
-    // Node 0's chain is short; a long chain elsewhere forces the *full*
-    // fixpoint through many semi-naive rounds the demand-restricted solve
-    // never runs (rule applications track rounds, so the win shows up even
-    // though the magic program has more rules).
     let mut edges: Vec<[u64; 2]> = EDGES.to_vec();
     for v in 20..60u64 {
         edges.push([v, v + 1]);
@@ -70,35 +66,79 @@ fn query_matches_full_solve_across_configs() {
         let mut e = Engine::with_options(Program::parse(TC).unwrap(), opts.clone()).unwrap();
         e.add_facts("edge", &edges).unwrap();
         let q = e.solve_query("path(0, y)").unwrap();
-        assert!(q.used_magic);
         assert_eq!(q.relation, "path");
         assert_eq!(q.tuples, expect, "reorder={reorder}");
-        assert!(q.stats.magic_rules > 0);
-        // Strictly less rule work than the full solve, even counting
-        // the magic rules' own applications.
-        assert!(
-            q.stats.rule_applications < full_apps,
-            "query {} >= full {} (reorder={reorder})",
-            q.stats.rule_applications,
-            full_apps
-        );
+        // A cold engine pays exactly one full solve.
+        assert_eq!(q.stats.rule_applications, full_apps, "reorder={reorder}");
     }
 }
 
 #[test]
-fn query_is_deterministic_and_engine_unchanged() {
+fn query_is_deterministic_and_solves_the_host() {
     let mut e = Engine::new(Program::parse(TC).unwrap()).unwrap();
     e.add_facts("edge", EDGES).unwrap();
     let a = e.solve_query("path(0, y)").unwrap();
     let b = e.solve_query("path(0, y)").unwrap();
     assert_eq!(a.tuples, b.tuples);
-    // The host engine's own relations were not populated by the query.
-    assert_eq!(e.relation_count("path").unwrap() as u64, 0);
-    // And a subsequent full solve still works and agrees.
-    e.solve().unwrap();
+    // The first query solved the host engine in place.
+    assert!(e.is_solved());
     let mut sel = e.relation_select("path", &[(0, 0)]).unwrap();
     sel.sort_unstable();
     assert_eq!(a.tuples, sel);
+}
+
+#[test]
+fn query_on_a_solved_engine_applies_no_rule() {
+    let mut e = Engine::new(Program::parse(TC).unwrap()).unwrap();
+    e.add_facts("edge", EDGES).unwrap();
+    e.solve().unwrap();
+    let names: Vec<String> = e
+        .program()
+        .relations()
+        .iter()
+        .map(|r| r.name.clone())
+        .collect();
+    let before: Vec<_> = names.iter().map(|n| e.relation_bdd(n).unwrap()).collect();
+    for atom in ["path(0, y)", "path(x, x)", "edge(x, y)"] {
+        let q = e.solve_query(atom).unwrap();
+        assert_eq!(q.stats.rule_applications, 0, "{atom}");
+        assert_eq!(q.stats.rounds, 0, "{atom}");
+        assert_eq!(
+            q.tuples,
+            e.select_atom(&parse_query(atom).unwrap()).unwrap(),
+            "{atom}"
+        );
+    }
+    for (name, bdd) in names.iter().zip(&before) {
+        assert_eq!(&e.relation_bdd(name).unwrap(), bdd, "{name}");
+    }
+}
+
+#[test]
+fn query_after_fact_deltas_matches_a_fresh_solve() {
+    let mut e = Engine::new(Program::parse(TC).unwrap()).unwrap();
+    e.add_facts("edge", EDGES).unwrap();
+    e.solve().unwrap();
+    // One addition, one retraction of an existing edge, then a query: the
+    // catch-up solve folds both deltas before the select.
+    e.add_facts("edge", [[4u64, 5]]).unwrap();
+    e.retract_facts("edge", [[11u64, 12]]).unwrap();
+    let mut facts: Vec<[u64; 2]> = EDGES.iter().copied().filter(|&t| t != [11, 12]).collect();
+    facts.push([4, 5]);
+    for atom in ["path(0, y)", "path(x, x)", "path(10, y)", "path(x, 6)"] {
+        let q = e.solve_query(atom).unwrap();
+        let mut fresh = Engine::new(Program::parse(TC).unwrap()).unwrap();
+        fresh.add_facts("edge", &facts).unwrap();
+        fresh.solve().unwrap();
+        let expect = fresh.select_atom(&parse_query(atom).unwrap()).unwrap();
+        assert_eq!(q.tuples, expect, "{atom}");
+    }
+    // Only the first query had deltas to fold.
+    assert!(!e.has_pending_deltas());
+    assert_eq!(
+        e.solve_query("path(0, y)").unwrap().stats.rule_applications,
+        0
+    );
 }
 
 #[test]
@@ -118,9 +158,7 @@ fn all_bound_and_repeated_variable_queries() {
 
 #[test]
 fn negation_program_query_matches_full_solve() {
-    // Stratified negation below the queried relation; the magic rewrite
-    // must keep the negated relation unrestricted ("full") and still
-    // reproduce the full solve's answers.
+    // Stratified negation below the queried relation.
     let src = r#"
 DOMAINS
 V 64
@@ -145,54 +183,6 @@ deadend(x,y) :- edge(x,y), !sink(y).
     let q = e.solve_query("deadend(3, y)").unwrap();
     assert_eq!(q.tuples, expect);
     assert_eq!(q.tuples, vec![vec![3, 4]]);
-    assert!(q
-        .lints
-        .iter()
-        .any(|l| matches!(l, DatalogError::NegationBlocksBinding { .. })));
-}
-
-#[test]
-fn stratification_fallback_still_answers() {
-    // Magic would trap !s inside a recursive component (see the unit test
-    // in `magic.rs`); solve_query must detect that, fall back to the
-    // pruned original program, and still answer correctly.
-    let src = r#"
-DOMAINS
-V 16
-
-RELATIONS
-input a (x : V)
-input e (s : V, d : V)
-r2 (x : V)
-w (x : V)
-s (s : V, d : V)
-y2 (s : V, d : V)
-output out2 (x : V)
-
-RULES
-y2(x,y) :- e(x,y).
-y2(x,z) :- y2(x,y), e(y,z).
-s(x,z) :- e(x,y), y2(y,z).
-r2(x) :- a(x), !s(x,x).
-w(x) :- r2(x).
-out2(x) :- w(x), y2(x,_).
-"#;
-    let build = || {
-        let mut e = Engine::new(Program::parse(src).unwrap()).unwrap();
-        e.add_facts("e", [[1u64, 2], [2, 1], [3, 4]]).unwrap();
-        e.add_facts("a", [[1u64], [3], [5]]).unwrap();
-        e
-    };
-    let mut full = build();
-    full.solve().unwrap();
-    let mut expect = full.relation_select("out2", &[(0, 3)]).unwrap();
-    expect.sort_unstable();
-
-    let q = build().solve_query("out2(3)").unwrap();
-    assert!(!q.used_magic);
-    assert_eq!(q.stats.magic_rules, 0);
-    assert_eq!(q.tuples, expect);
-    assert_eq!(q.tuples, vec![vec![3]]);
 }
 
 #[test]
@@ -231,62 +221,4 @@ fn query_atom_validation_errors() {
         e.solve_query("path(0, y) :- edge(0, y)").unwrap_err(),
         DatalogError::Parse { .. }
     ));
-}
-
-/// Two rules that project one input onto different columns.
-const PROJECTIONS: &str = r#"
-DOMAINS
-V 8
-
-RELATIONS
-input edge (src : V, dst : V)
-output a (x : V)
-output b (y : V)
-
-RULES
-a(x) :- edge(x,_).
-b(y) :- edge(_,y).
-"#;
-
-#[test]
-fn query_solves_share_the_host_evaluator() {
-    // A query solves on the host's manager, whose relation memo is keyed
-    // by the evaluator's interned operation tags. The two projections of
-    // `edge` get different tags; a query engine with its own evaluator
-    // would reuse the numbers for other operations and read the host's
-    // cached projection of the wrong column.
-    let engine = |facts: &[[u64; 2]]| {
-        let mut e = Engine::new(Program::parse(PROJECTIONS).unwrap()).unwrap();
-        e.add_facts("edge", facts).unwrap();
-        e
-    };
-    let check_queries = |e: &mut Engine| {
-        for q in ["a(x)", "b(4)", "b(y)", "a(3)"] {
-            let select = e.select_atom(&parse_query(q).unwrap()).unwrap();
-            assert_eq!(e.solve_query(q).unwrap().tuples, select, "{q}");
-        }
-    };
-    let mut e = engine(&[[1, 2], [3, 4]]);
-    e.solve().unwrap();
-    assert_eq!(
-        e.select_atom(&parse_query("a(x)").unwrap()).unwrap(),
-        [[1], [3]]
-    );
-    assert_eq!(e.select_atom(&parse_query("b(4)").unwrap()).unwrap(), [[4]]);
-    check_queries(&mut e);
-
-    // The query solves leave nothing behind that misleads the host's own
-    // incremental solve.
-    e.add_facts("edge", [[5, 6]]).unwrap();
-    e.solve_incremental().unwrap();
-    check_queries(&mut e);
-    let mut fresh = engine(&[[1, 2], [3, 4], [5, 6]]);
-    fresh.solve().unwrap();
-    for rel in ["edge", "a", "b"] {
-        let mut mine = e.relation_tuples(rel).unwrap();
-        let mut theirs = fresh.relation_tuples(rel).unwrap();
-        mine.sort_unstable();
-        theirs.sort_unstable();
-        assert_eq!(mine, theirs, "{rel}");
-    }
 }

@@ -6,7 +6,7 @@
 //! than passing by coincidence.
 
 use whale_datalog::analyze::check_source;
-use whale_datalog::diag::{Diagnostic, Span};
+use whale_datalog::diag::Diagnostic;
 use whale_datalog::DatalogError;
 
 /// Asserts that analyzing `src` yields a diagnostic with `code` at
@@ -136,21 +136,6 @@ fn duplicate_and_subsumed_rules_point_at_later_rule() {
     let src = "DOMAINS\nV 16\nRELATIONS\ninput edge (s : V, d : V)\noutput path (s : V, d : V)\nRULES\npath(x,y) :- edge(x,y).\n  path(a,b) :- edge(a,b).\n path(x,y) :- edge(x,y), edge(y,y).\n";
     expect_span("W008", src, "W008", 8, 3);
     expect_span("W009", src, "W009", 9, 2);
-}
-
-/// W005 is only produced on the demand-driven query path (adornment), so
-/// `check_source` cannot surface it; pin its span mapping directly.
-#[test]
-fn negation_blocks_binding_span_maps_through_from_error() {
-    let err = DatalogError::NegationBlocksBinding {
-        relation: "p".into(),
-        rule: "q(x) :- a(x), !p(x).".into(),
-        line: 17,
-        col: 5,
-    };
-    let d = Diagnostic::from_error(&err);
-    assert_eq!(d.code, "W005");
-    assert_eq!(d.span, Span::new(17, 5));
 }
 
 /// Spanless variants must render without a `-->` locus rather than with a

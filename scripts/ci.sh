@@ -58,11 +58,12 @@ TESTKIT_BENCH_ITERS=3 TESTKIT_BENCH_WARMUP=1 \
 # gate: the appex hit rate of the memo configuration must not fall below
 # the committed floor (measured 0.091 at layers 9; see EXPERIMENTS.md).
 ./target/release/cache_probe 9 --check-floor 0.085 >> results/bench_smoke.jsonl
-# One demand-driven query record (tiny config) appended likewise: full CS
-# solve vs `solve_query` on the single-variable points-to shape. The probe
-# asserts the query answers match the full solve, evaluate strictly fewer
-# rule applications, and are byte-identical across a repeat run — a
-# magic-set correctness and determinism gate.
+# One query record (tiny config) appended likewise: `solve_query` on the
+# single-variable points-to shape, asked of a cold engine and then of the
+# solved one. The probe asserts the cold answer equals a full solve's
+# select, and that the repeat on the solved engine applies no rule,
+# answers byte-identically and leaves the engine's `vPC` unchanged — a
+# query correctness and determinism gate.
 ./target/release/query_probe >> results/bench_smoke.jsonl
 # One resident-engine record (tiny config) appended likewise: cold solve
 # vs io-v2 warm start vs incremental delta re-solve. The probe asserts

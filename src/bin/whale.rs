@@ -38,7 +38,7 @@ analyze options:
   --taint SPEC  spec-driven information-flow audit with witness paths
   --factor      apply flow-sensitive local factoring before extraction
   --print REL   print the tuples of a result relation (repeatable)
-  --query ATOM  answer a single Datalog atom demand-driven (magic sets),
+  --query ATOM  answer a single Datalog atom from the solved relations,
                 e.g. --query 'vPC(0, v, h)'; constants and quoted names
                 pin columns, variables and _ stay free
   --lint        run the static Datalog analyzer over the generated
@@ -93,27 +93,17 @@ fn print_bdd_stats(s: &whale::bdd::BddStats) {
         s.gc_runs,
         s.reorder_runs
     );
-    println!(
-        "op caches: {:.1} MiB, unique table: {:.1} MiB",
-        s.cache_bytes as f64 / (1024.0 * 1024.0),
-        s.table_bytes as f64 / (1024.0 * 1024.0)
+    print!(
+        "{}",
+        s.cache_table(&[
+            ("apply", &s.apply_cache),
+            ("ite", &s.ite_cache),
+            ("appex", &s.appex_cache),
+            ("replace", &s.replace_cache),
+            ("client", &s.client_cache),
+            ("count", &s.count_memo),
+        ])
     );
-    for (name, c) in [
-        ("apply", &s.apply_cache),
-        ("ite", &s.ite_cache),
-        ("appex", &s.appex_cache),
-        ("replace", &s.replace_cache),
-        ("client", &s.client_cache),
-        ("count", &s.count_memo),
-    ] {
-        println!(
-            "  {name:<8} hits={:<10} misses={:<10} evictions={:<10} hit rate {:.1}%",
-            c.hits,
-            c.misses,
-            c.evictions,
-            c.hit_rate() * 100.0
-        );
-    }
 }
 
 fn main() -> ExitCode {
@@ -520,24 +510,10 @@ fn run_analyze(cli: &Cli, facts: &Facts) -> Result<(), CliError> {
     }
     if let Some(q) = &cli.query {
         let result = engine.solve_query(q)?;
-        if cli.lint {
-            for l in &result.lints {
-                println!("whale: query lint: {l}");
-            }
-        }
-        let s = &result.stats;
         println!(
-            "\nquery {}: {} tuples ({:?}, {} magic rules, {} rules pruned{})",
+            "\nquery {}: {} tuples",
             result.relation,
-            result.tuples.len(),
-            s.solve_time,
-            s.magic_rules,
-            s.pruned_rules,
-            if result.used_magic {
-                ""
-            } else {
-                "; magic skipped, rewrite would break stratification"
-            }
+            result.tuples.len()
         );
         let sig: Vec<String> = engine
             .program()

@@ -52,7 +52,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
-use whale_datalog::{json_string, parse_query, Engine, SolveStats};
+use whale_datalog::{json_string, Engine, SolveStats};
 
 /// Nesting depth cap for incoming JSON: IDE/CI requests are flat, so
 /// anything deeper is hostile or broken, and bounding it keeps the
@@ -465,14 +465,14 @@ impl Server {
             }
             "count" => {
                 let rel = str_field(req, "relation")?;
-                self.ensure_solved()?;
+                self.engine.ensure_solved().map_err(stringify)?;
                 let n = self.engine.relation_count_exact(rel).map_err(stringify)?;
                 Ok(format!("\"relation\":{},\"count\":{n}", json_string(rel)))
             }
             "select" => {
                 let rel = str_field(req, "relation")?;
                 let fixed = fixed_field(req)?;
-                self.ensure_solved()?;
+                self.engine.ensure_solved().map_err(stringify)?;
                 let tuples = self
                     .engine
                     .relation_select(rel, &fixed)
@@ -484,13 +484,14 @@ impl Server {
                 ))
             }
             "query" => {
-                let atom = parse_query(str_field(req, "atom")?).map_err(stringify)?;
-                self.ensure_solved()?;
-                let tuples = self.engine.select_atom(&atom).map_err(stringify)?;
+                let q = self
+                    .engine
+                    .solve_query(str_field(req, "atom")?)
+                    .map_err(stringify)?;
                 Ok(format!(
                     "\"relation\":{},\"tuples\":{}",
-                    json_string(&atom.relation),
-                    encode_tuples(&tuples)
+                    json_string(&q.relation),
+                    encode_tuples(&q.tuples)
                 ))
             }
             "add_facts" => {
@@ -524,16 +525,6 @@ impl Server {
         }
     }
 
-    /// Brings the resident solution up to date before a read: cold solve
-    /// on first use, incremental fold when deltas are pending, no-op
-    /// otherwise.
-    fn ensure_solved(&mut self) -> Result<(), String> {
-        if !self.engine.is_solved() || self.engine.has_pending_deltas() {
-            self.engine.solve_incremental().map_err(stringify)?;
-        }
-        Ok(())
-    }
-
     /// Writes the warm-start cache entry for the current base facts.
     /// Best-effort: a failure is logged, never fatal — the next start
     /// simply solves cold.
@@ -546,11 +537,9 @@ impl Server {
         }
         // Deltas newer than the resident solution would persist a stale
         // fixpoint under the new facts' key; fold them in first.
-        if self.engine.has_pending_deltas() {
-            if let Err(e) = self.engine.solve_incremental() {
-                eprintln!("whale serve: cache persist skipped ({e})");
-                return;
-            }
+        if let Err(e) = self.engine.ensure_solved() {
+            eprintln!("whale serve: cache persist skipped ({e})");
+            return;
         }
         if let Err(e) = write_cache(&self.engine, &dir) {
             eprintln!("whale serve: cache persist failed ({e})");
