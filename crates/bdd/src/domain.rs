@@ -2,7 +2,7 @@
 //! bounded integer domains, as in BuDDy's `fdd` interface which the paper's
 //! `bddbddb` system was built on.
 
-use crate::store::{Store, ONE, ZERO};
+use crate::store::{Store, AND, ONE, OR, ZERO};
 use crate::Level;
 
 /// Identifier of a declared finite domain.
@@ -73,7 +73,7 @@ pub(crate) fn const_rec(store: &mut Store, bits: &[Level], value: u64) -> u32 {
             store.nithvar(lvl)
         };
         store.protect(lit);
-        let next = store.and_rec(acc, lit);
+        let next = store.apply_rec::<AND>(acc, lit);
         store.unprotect(2);
         acc = next;
     }
@@ -134,7 +134,7 @@ pub(crate) fn range_rec(store: &mut Store, bits: &[Level], lo: u64, hi: u64) -> 
     store.protect(le);
     let ge = geq_rec(store, bits, lo);
     store.protect(ge);
-    let res = store.and_rec(le, ge);
+    let res = store.apply_rec::<AND>(le, ge);
     store.unprotect(2);
     res
 }
@@ -156,15 +156,15 @@ pub(crate) fn lt_rec(store: &mut Store, xbits: &[Level], ybits: &[Level]) -> u32
         store.protect(y);
         let nx = store.not_rec(x);
         store.protect(nx);
-        let strictly = store.and_rec(nx, y);
+        let strictly = store.apply_rec::<AND>(nx, y);
         store.protect(strictly);
         let ny = store.not_rec(y);
         store.protect(ny);
         let xnor = store.ite_rec(x, y, ny);
         store.protect(xnor);
-        let carry = store.and_rec(xnor, acc);
+        let carry = store.apply_rec::<AND>(xnor, acc);
         store.protect(carry);
-        let next = store.or_rec(strictly, carry);
+        let next = store.apply_rec::<OR>(strictly, carry);
         store.unprotect(8);
         acc = next;
     }
@@ -185,7 +185,7 @@ pub(crate) fn eq_rec(store: &mut Store, xbits: &[Level], ybits: &[Level]) -> u32
         store.protect(ny);
         let xnor = store.ite_rec(x, y, ny);
         store.protect(xnor);
-        let next = store.and_rec(acc, xnor);
+        let next = store.apply_rec::<AND>(acc, xnor);
         store.unprotect(5);
         acc = next;
     }

@@ -8,7 +8,10 @@
 //! that system needs:
 //!
 //! - the classic apply family ([`Bdd::and`], [`Bdd::or`], [`Bdd::xor`],
-//!   [`Bdd::diff`], [`Bdd::not`], [`Bdd::ite`]),
+//!   [`Bdd::diff`], [`Bdd::not`], [`Bdd::ite`]); the four binary
+//!   operators share one recursion, as BuDDy's `bdd_apply` does,
+//!   instantiated per operator and keyed in the apply cache by the
+//!   operator's tag,
 //! - quantification and the combined *relational product*
 //!   ([`Bdd::exist`], [`Bdd::relprod`]) used to implement Datalog joins,
 //! - variable renaming ([`Bdd::replace`]) used to implement attribute
@@ -49,7 +52,9 @@
 //! builds of the BDD packages the paper used. Handles ([`Bdd`]) are
 //! reference-counted RAII values; garbage collection is a mark-and-sweep over
 //! externally referenced nodes plus the kernel's internal recursion stack and
-//! runs only under allocation pressure.
+//! runs only under allocation pressure. Every public operation enters the
+//! kernel through one place, which checks that the operands share a
+//! manager, samples the sanitizer and runs a pending automatic reorder.
 //!
 //! The operation caches are 4-way set-associative with one 64-byte cache
 //! line per set, so a lookup reads one line; a full set evicts its oldest
@@ -89,7 +94,7 @@ mod store;
 pub use cache::CacheStats;
 pub use domain::{DomainId, DomainSpec};
 pub use error::BddError;
-pub use manager::{Bdd, BddManager, BddManagerOptions, BddStats};
+pub use manager::{Bdd, BddManager, BddStats};
 pub use order::{OrderSpec, ReorderStats};
 pub use store::NODE_BYTES;
 

@@ -7,7 +7,7 @@ use crate::domain::{
 };
 use crate::order::{assign_levels_grouped, OrderSpec, ReorderStats};
 use crate::sat::{decode_tuple, for_each_sat};
-use crate::store::{Store, DEFAULT_MAX_GROWTH, NODE_BYTES, ONE, ZERO};
+use crate::store::{Store, AND, DEFAULT_MAX_GROWTH, DIFF, NODE_BYTES, ONE, OR, XOR, ZERO};
 use crate::{BddError, Level};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -32,28 +32,6 @@ use std::rc::Rc;
 #[derive(Clone)]
 pub struct BddManager {
     store: Rc<RefCell<Store>>,
-}
-
-/// Construction-time options of a [`BddManager`].
-///
-/// The operation caches need no options: each starts at a fixed size
-/// (2^16 apply, 2^14 ite, 2^16 exist/relprod, 2^15 replace and 2^12 client
-/// entries) and grows only with the node table, in proportion to it, up to
-/// 2^23 entries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BddManagerOptions {
-    /// Initial node-table capacity hint (rounded up to a power of two, at
-    /// least 2^12). Sizing the table for the expected workload avoids
-    /// early grow-and-collect cycles.
-    pub initial_capacity: usize,
-}
-
-impl Default for BddManagerOptions {
-    fn default() -> Self {
-        BddManagerOptions {
-            initial_capacity: 1 << 14,
-        }
-    }
 }
 
 /// Aggregate statistics about a manager's node table and operation caches.
@@ -129,14 +107,8 @@ impl BddStats {
 impl BddManager {
     /// Creates a manager over `varcount` raw boolean variables (no domains).
     pub fn with_vars(varcount: u32) -> Self {
-        Self::with_vars_and_options(varcount, &BddManagerOptions::default())
-    }
-
-    /// [`BddManager::with_vars`] with explicit [`BddManagerOptions`].
-    pub fn with_vars_and_options(varcount: u32, opts: &BddManagerOptions) -> Self {
-        let store = Store::new(varcount, opts.initial_capacity);
         BddManager {
-            store: Rc::new(RefCell::new(store)),
+            store: Rc::new(RefCell::new(Store::new(varcount, 1 << 14))),
         }
     }
 
@@ -156,8 +128,9 @@ impl BddManager {
     }
 
     /// [`BddManager::with_domains`] with an initial node-table capacity
-    /// hint (rounded up to a power of two). Sizing the table for the
-    /// expected workload avoids early grow-and-collect cycles.
+    /// hint (rounded up to a power of two, at least 2^12). Sizing the
+    /// table for the expected workload avoids early grow-and-collect
+    /// cycles.
     ///
     /// # Errors
     ///
@@ -166,22 +139,6 @@ impl BddManager {
         specs: &[DomainSpec],
         order: &OrderSpec,
         capacity: usize,
-    ) -> Result<Self, BddError> {
-        let opts = BddManagerOptions {
-            initial_capacity: capacity,
-        };
-        Self::with_domains_and_options(specs, order, &opts)
-    }
-
-    /// [`BddManager::with_domains`] with explicit [`BddManagerOptions`].
-    ///
-    /// # Errors
-    ///
-    /// As [`BddManager::with_domains`].
-    pub fn with_domains_and_options(
-        specs: &[DomainSpec],
-        order: &OrderSpec,
-        opts: &BddManagerOptions,
     ) -> Result<Self, BddError> {
         let mut by_name: HashMap<&str, usize> = HashMap::new();
         for (i, spec) in specs.iter().enumerate() {
@@ -218,7 +175,7 @@ impl BddManager {
         }
         let levels = assign_levels_grouped(&groups);
         let varcount: u32 = groups.iter().flatten().sum();
-        let mut store = Store::new(varcount, opts.initial_capacity);
+        let mut store = Store::new(varcount, capacity);
         // Each ordering group is one sifting block: reordering moves whole
         // groups, so interleaved domains stay interleaved.
         let widths: Vec<u32> = groups.iter().map(|g| g.iter().sum()).collect();
@@ -740,78 +697,58 @@ impl Bdd {
         self.idx == ONE
     }
 
-    /// Conjunction.
-    pub fn and(&self, other: &Bdd) -> Bdd {
-        self.same_store(other);
+    /// One public operation: checks that every operand in `others`
+    /// belongs to this manager, enters the kernel (sanitizer sample and
+    /// automatic reordering), runs `op` on the store and `self`'s node, and
+    /// wraps the node it returns.
+    fn public_op(&self, others: &[&Bdd], op: impl FnOnce(&mut Store, u32) -> u32) -> Bdd {
+        for other in others {
+            self.same_store(other);
+        }
         let mut s = self.store.borrow_mut();
         s.enter_public_op();
-        let idx = s.and_rec(self.idx, other.idx);
+        let idx = op(&mut s, self.idx);
         self.wrap(&mut s, idx)
+    }
+
+    /// Conjunction.
+    pub fn and(&self, other: &Bdd) -> Bdd {
+        self.public_op(&[other], |s, f| s.apply_rec::<AND>(f, other.idx))
     }
 
     /// Disjunction.
     pub fn or(&self, other: &Bdd) -> Bdd {
-        self.same_store(other);
-        let mut s = self.store.borrow_mut();
-        s.enter_public_op();
-        let idx = s.or_rec(self.idx, other.idx);
-        self.wrap(&mut s, idx)
+        self.public_op(&[other], |s, f| s.apply_rec::<OR>(f, other.idx))
     }
 
     /// Exclusive or.
     pub fn xor(&self, other: &Bdd) -> Bdd {
-        self.same_store(other);
-        let mut s = self.store.borrow_mut();
-        s.enter_public_op();
-        let idx = s.xor_rec(self.idx, other.idx);
-        self.wrap(&mut s, idx)
+        self.public_op(&[other], |s, f| s.apply_rec::<XOR>(f, other.idx))
     }
 
     /// Set difference `self ∧ ¬other`.
     pub fn diff(&self, other: &Bdd) -> Bdd {
-        self.same_store(other);
-        let mut s = self.store.borrow_mut();
-        s.enter_public_op();
-        let idx = s.diff_rec(self.idx, other.idx);
-        self.wrap(&mut s, idx)
+        self.public_op(&[other], |s, f| s.apply_rec::<DIFF>(f, other.idx))
     }
 
     /// Negation.
     pub fn not(&self) -> Bdd {
-        let mut s = self.store.borrow_mut();
-        s.enter_public_op();
-        let idx = s.not_rec(self.idx);
-        self.wrap(&mut s, idx)
+        self.public_op(&[], |s, f| s.not_rec(f))
     }
 
     /// If-then-else: `(self ∧ then_) ∨ (¬self ∧ else_)`.
     pub fn ite(&self, then_: &Bdd, else_: &Bdd) -> Bdd {
-        self.same_store(then_);
-        self.same_store(else_);
-        let mut s = self.store.borrow_mut();
-        s.enter_public_op();
-        let idx = s.ite_rec(self.idx, then_.idx, else_.idx);
-        self.wrap(&mut s, idx)
+        self.public_op(&[then_, else_], |s, f| s.ite_rec(f, then_.idx, else_.idx))
     }
 
     /// Existential quantification over the given variables.
     pub fn exist(&self, vars: &[Level]) -> Bdd {
-        let mut s = self.store.borrow_mut();
-        s.enter_public_op();
-        let idx = s.exist(self.idx, vars);
-        self.wrap(&mut s, idx)
+        self.public_op(&[], |s, f| s.exist(f, vars))
     }
 
     /// Existential quantification over whole domains.
     pub fn exist_domains(&self, doms: &[DomainId]) -> Bdd {
-        let mut s = self.store.borrow_mut();
-        s.enter_public_op();
-        let vars: Vec<Level> = doms
-            .iter()
-            .flat_map(|d| s.domains[d.0].bits.clone())
-            .collect();
-        let idx = s.exist(self.idx, &vars);
-        self.wrap(&mut s, idx)
+        self.public_op(&[], |s, f| s.exist(f, &s.vars_of(doms)))
     }
 
     /// Universal quantification over the given variable levels
@@ -860,24 +797,12 @@ impl Bdd {
     /// # }
     /// ```
     pub fn relprod(&self, other: &Bdd, vars: &[Level]) -> Bdd {
-        self.same_store(other);
-        let mut s = self.store.borrow_mut();
-        s.enter_public_op();
-        let idx = s.relprod(self.idx, other.idx, vars);
-        self.wrap(&mut s, idx)
+        self.public_op(&[other], |s, f| s.relprod(f, other.idx, vars))
     }
 
     /// [`Bdd::relprod`] quantifying whole domains.
     pub fn relprod_domains(&self, other: &Bdd, doms: &[DomainId]) -> Bdd {
-        self.same_store(other);
-        let mut s = self.store.borrow_mut();
-        s.enter_public_op();
-        let vars: Vec<Level> = doms
-            .iter()
-            .flat_map(|d| s.domains[d.0].bits.clone())
-            .collect();
-        let idx = s.relprod(self.idx, other.idx, &vars);
-        self.wrap(&mut s, idx)
+        self.public_op(&[other], |s, f| s.relprod(f, other.idx, &s.vars_of(doms)))
     }
 
     /// Renames whole domains: each `(from, to)` pair moves the function's
@@ -1048,11 +973,7 @@ impl Bdd {
                 );
                 lp.extend(fb.iter().copied().zip(tb.iter().copied()));
             }
-            let vars: Vec<Level> = doms
-                .iter()
-                .flat_map(|d| s.domains[d.0].bits.clone())
-                .collect();
-            (lp, vars)
+            (lp, s.vars_of(doms))
         };
         self.fused_replace_relprod_levels(other, &level_pairs, &vars)
     }
@@ -1100,10 +1021,7 @@ impl Bdd {
     /// The support must be a subset of the domains' variables.
     pub fn satcount_domains_exact(&self, doms: &[DomainId]) -> u128 {
         let mut s = self.store.borrow_mut();
-        let vars: Vec<Level> = doms
-            .iter()
-            .flat_map(|d| s.domains[d.0].bits.clone())
-            .collect();
+        let vars = s.vars_of(doms);
         s.satcount_exact_memo(self.idx, &vars)
     }
 

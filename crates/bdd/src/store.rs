@@ -15,7 +15,7 @@
 //! 2^20-entry bucket array.
 
 use crate::cache::{Cache, CacheStats, NIL};
-use crate::domain::DomainData;
+use crate::domain::{DomainData, DomainId};
 use crate::order::{ReorderStats, VarOrder};
 use crate::sat::CountMemo;
 use crate::Level;
@@ -59,26 +59,13 @@ pub(crate) const MIN_BUCKETS: usize = 1 << 12;
 /// for the block being sifted (Rudell's bound; BuDDy ships 1.2 as well).
 pub(crate) const DEFAULT_MAX_GROWTH: f64 = 1.2;
 
-/// Binary apply operators.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Op {
-    And,
-    Or,
-    Xor,
-    Diff,
-}
-
-impl Op {
-    #[inline]
-    fn tag(self) -> u32 {
-        match self {
-            Op::And => 1,
-            Op::Or => 2,
-            Op::Xor => 3,
-            Op::Diff => 4,
-        }
-    }
-}
+/// Binary apply operators, named by their apply-cache tag: the const
+/// parameter of [`Store::apply_rec`].
+pub(crate) const AND: u32 = 1;
+pub(crate) const OR: u32 = 2;
+pub(crate) const XOR: u32 = 3;
+/// `f ∧ ¬g` (set difference).
+pub(crate) const DIFF: u32 = 4;
 
 const NOT_TAG: u32 = 5;
 
@@ -893,20 +880,43 @@ impl Store {
         self.mk(level, ONE, ZERO)
     }
 
+    /// The variables of the domains `doms`, each domain's bits
+    /// least-significant first, in the order of `doms`.
+    pub(crate) fn vars_of(&self, doms: &[DomainId]) -> Vec<Level> {
+        doms.iter()
+            .flat_map(|d| self.domains[d.0].bits.iter().copied())
+            .collect()
+    }
+
     // ----- apply family -----------------------------------------------------
 
-    pub(crate) fn and_rec(&mut self, f: u32, g: u32) -> u32 {
-        if f == ZERO || g == ZERO {
-            return ZERO;
+    /// The binary apply `f OP g` for `OP` one of [`AND`], [`OR`], [`XOR`]
+    /// and [`DIFF`]. `OP` is also the apply-cache tag; the operands of the
+    /// commutative operators are ordered for the cache key.
+    pub(crate) fn apply_rec<const OP: u32>(&mut self, f: u32, g: u32) -> u32 {
+        let terminal = match OP {
+            AND if f == ZERO || g == ZERO => Some(ZERO),
+            AND if f == ONE || f == g => Some(g),
+            AND if g == ONE => Some(f),
+            OR if f == ONE || g == ONE => Some(ONE),
+            OR if f == ZERO || f == g => Some(g),
+            OR if g == ZERO => Some(f),
+            XOR if f == g => Some(ZERO),
+            XOR if f == ZERO => Some(g),
+            XOR if g == ZERO => Some(f),
+            XOR if f == ONE => Some(self.not_rec(g)),
+            XOR if g == ONE => Some(self.not_rec(f)),
+            DIFF if f == ZERO || g == ONE || f == g => Some(ZERO),
+            DIFF if g == ZERO => Some(f),
+            DIFF if f == ONE => Some(self.not_rec(g)),
+            AND | OR | XOR | DIFF => None,
+            _ => unreachable!("apply tag {OP}"),
+        };
+        if let Some(r) = terminal {
+            return r;
         }
-        if f == ONE || f == g {
-            return g;
-        }
-        if g == ONE {
-            return f;
-        }
-        let (a, b) = if f < g { (f, g) } else { (g, f) };
-        if let Some(r) = self.apply_cache.get(a, b, Op::And.tag()) {
+        let (a, b) = if OP != DIFF && g < f { (g, f) } else { (f, g) };
+        if let Some(r) = self.apply_cache.get(a, b, OP) {
             return r;
         }
         let (lf, lg) = (self.level(f), self.level(g));
@@ -921,127 +931,13 @@ impl Store {
         } else {
             (g, g)
         };
-        let low = self.and_rec(f0, g0);
+        let low = self.apply_rec::<OP>(f0, g0);
         self.push_ref(low);
-        let high = self.and_rec(f1, g1);
+        let high = self.apply_rec::<OP>(f1, g1);
         self.push_ref(high);
         let res = self.mk(m, low, high);
         self.pop_ref(2);
-        self.apply_cache.put(a, b, Op::And.tag(), res);
-        res
-    }
-
-    pub(crate) fn or_rec(&mut self, f: u32, g: u32) -> u32 {
-        if f == ONE || g == ONE {
-            return ONE;
-        }
-        if f == ZERO || f == g {
-            return g;
-        }
-        if g == ZERO {
-            return f;
-        }
-        let (a, b) = if f < g { (f, g) } else { (g, f) };
-        if let Some(r) = self.apply_cache.get(a, b, Op::Or.tag()) {
-            return r;
-        }
-        let (lf, lg) = (self.level(f), self.level(g));
-        let m = lf.min(lg);
-        let (f0, f1) = if lf == m {
-            (self.low(f), self.high(f))
-        } else {
-            (f, f)
-        };
-        let (g0, g1) = if lg == m {
-            (self.low(g), self.high(g))
-        } else {
-            (g, g)
-        };
-        let low = self.or_rec(f0, g0);
-        self.push_ref(low);
-        let high = self.or_rec(f1, g1);
-        self.push_ref(high);
-        let res = self.mk(m, low, high);
-        self.pop_ref(2);
-        self.apply_cache.put(a, b, Op::Or.tag(), res);
-        res
-    }
-
-    pub(crate) fn xor_rec(&mut self, f: u32, g: u32) -> u32 {
-        if f == g {
-            return ZERO;
-        }
-        if f == ZERO {
-            return g;
-        }
-        if g == ZERO {
-            return f;
-        }
-        if f == ONE {
-            return self.not_rec(g);
-        }
-        if g == ONE {
-            return self.not_rec(f);
-        }
-        let (a, b) = if f < g { (f, g) } else { (g, f) };
-        if let Some(r) = self.apply_cache.get(a, b, Op::Xor.tag()) {
-            return r;
-        }
-        let (lf, lg) = (self.level(f), self.level(g));
-        let m = lf.min(lg);
-        let (f0, f1) = if lf == m {
-            (self.low(f), self.high(f))
-        } else {
-            (f, f)
-        };
-        let (g0, g1) = if lg == m {
-            (self.low(g), self.high(g))
-        } else {
-            (g, g)
-        };
-        let low = self.xor_rec(f0, g0);
-        self.push_ref(low);
-        let high = self.xor_rec(f1, g1);
-        self.push_ref(high);
-        let res = self.mk(m, low, high);
-        self.pop_ref(2);
-        self.apply_cache.put(a, b, Op::Xor.tag(), res);
-        res
-    }
-
-    /// `f ∧ ¬g` (set difference).
-    pub(crate) fn diff_rec(&mut self, f: u32, g: u32) -> u32 {
-        if f == ZERO || g == ONE || f == g {
-            return ZERO;
-        }
-        if g == ZERO {
-            return f;
-        }
-        if f == ONE {
-            return self.not_rec(g);
-        }
-        if let Some(r) = self.apply_cache.get(f, g, Op::Diff.tag()) {
-            return r;
-        }
-        let (lf, lg) = (self.level(f), self.level(g));
-        let m = lf.min(lg);
-        let (f0, f1) = if lf == m {
-            (self.low(f), self.high(f))
-        } else {
-            (f, f)
-        };
-        let (g0, g1) = if lg == m {
-            (self.low(g), self.high(g))
-        } else {
-            (g, g)
-        };
-        let low = self.diff_rec(f0, g0);
-        self.push_ref(low);
-        let high = self.diff_rec(f1, g1);
-        self.push_ref(high);
-        let res = self.mk(m, low, high);
-        self.pop_ref(2);
-        self.apply_cache.put(f, g, Op::Diff.tag(), res);
+        self.apply_cache.put(a, b, OP, res);
         res
     }
 
@@ -1154,7 +1050,7 @@ impl Store {
             }
             let high = self.exist_rec(fhigh, seq);
             self.push_ref(high);
-            let r = self.or_rec(low, high);
+            let r = self.apply_rec::<OR>(low, high);
             self.pop_ref(2);
             r
         } else {
@@ -1171,7 +1067,7 @@ impl Store {
     /// The relational product `∃ vars. (f ∧ g)`, computed in one pass.
     pub(crate) fn relprod(&mut self, f: u32, g: u32, vars: &[Level]) -> u32 {
         if vars.is_empty() {
-            return self.and_rec(f, g);
+            return self.apply_rec::<AND>(f, g);
         }
         self.set_quant(vars);
         let id = self.varset_id(vars);
@@ -1184,7 +1080,7 @@ impl Store {
         }
         let (lf, lg) = (self.level(f), self.level(g));
         if lf > self.quant_last && lg > self.quant_last {
-            return self.and_rec(f, g);
+            return self.apply_rec::<AND>(f, g);
         }
         let (a, b) = if f < g { (f, g) } else { (g, f) };
         if let Some(r) = self.appex_cache.get(a, b, seq) {
@@ -1210,7 +1106,7 @@ impl Store {
             self.push_ref(low);
             let high = self.relprod_rec(f1, g1, seq);
             self.push_ref(high);
-            let r = self.or_rec(low, high);
+            let r = self.apply_rec::<OR>(low, high);
             self.pop_ref(2);
             r
         } else {
@@ -1295,7 +1191,7 @@ impl Store {
     ) -> u32 {
         if pairs.is_empty() {
             return if vars.is_empty() {
-                self.and_rec(f, g)
+                self.apply_rec::<AND>(f, g)
             } else {
                 self.relprod(f, g, vars)
             };
@@ -1334,7 +1230,7 @@ impl Store {
         let lg = self.level(g); // TERM_LEVEL when g == ONE
         if lf >= self.perm_tail && plf > self.quant_last && lg > self.quant_last {
             // No renamed and no quantified variables remain below: plain AND.
-            return self.and_rec(f, g);
+            return self.apply_rec::<AND>(f, g);
         }
         if let Some(r) = self.appex_cache.get(f, g, fseq) {
             return r;
@@ -1359,7 +1255,7 @@ impl Store {
             self.push_ref(low);
             let high = self.fused_rec(f1, g1, fseq, eseq);
             self.push_ref(high);
-            let r = self.or_rec(low, high);
+            let r = self.apply_rec::<OR>(low, high);
             self.pop_ref(2);
             r
         } else {

@@ -469,3 +469,42 @@ fn io_roundtrip_with_root_level_siblings() {
         assert_eq!(&read_bdd(&m, buf.as_slice()).unwrap(), func);
     }
 }
+
+/// The apply cache keys the commutative operators on the ordered operand
+/// pair and `diff` on the pair as given: swapping the operands of `and`
+/// is one hit and no miss, swapping those of `diff` misses, and every
+/// result keeps its truth table.
+#[test]
+fn apply_cache_orders_only_commutative_operands() {
+    let m = BddManager::with_vars(3);
+    let a = m.ithvar(0).or(&m.ithvar(1));
+    let b = m.ithvar(1).xor(&m.ithvar(2));
+
+    let before = m.stats().apply_cache;
+    let ab = a.and(&b);
+    let mid = m.stats().apply_cache;
+    let ba = b.and(&a);
+    let after = m.stats().apply_cache;
+    assert!(mid.misses > before.misses);
+    assert_eq!(after.hits, mid.hits + 1);
+    assert_eq!(after.misses, mid.misses);
+    assert_eq!(ab, ba);
+
+    let before = m.stats().apply_cache;
+    let a_b = a.diff(&b);
+    let b_a = b.diff(&a);
+    let after = m.stats().apply_cache;
+    assert!(after.misses >= before.misses + 2);
+    assert_ne!(a_b, b_a);
+
+    let eval = |f: &whale_bdd::Bdd, i: u32| {
+        f.restrict(&[(0, i & 1 == 1), (1, i & 2 == 2), (2, i & 4 == 4)])
+            .is_one()
+    };
+    for i in 0..8 {
+        let (va, vb) = (eval(&a, i), eval(&b, i));
+        assert_eq!(eval(&ab, i), va && vb, "and at {i:03b}");
+        assert_eq!(eval(&a_b, i), va && !vb, "a diff b at {i:03b}");
+        assert_eq!(eval(&b_a, i), vb && !va, "b diff a at {i:03b}");
+    }
+}

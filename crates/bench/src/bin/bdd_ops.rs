@@ -1,11 +1,11 @@
 //! Microbenchmarks of the BDD kernel: the apply family, the relational
 //! product, renames, and the paper's O(bits) range/adder constructions.
 //!
-//! Emits one JSON line per benchmark (see `whale_testkit::bench`).
+//! Emits one JSON line per benchmark (see `whale_bench::micro`).
 //! Iteration counts: `TESTKIT_BENCH_ITERS` / `TESTKIT_BENCH_WARMUP`.
 
 use whale_bdd::{Bdd, BddManager, DomainSpec, OrderSpec};
-use whale_testkit::Bench;
+use whale_bench::micro::Bench;
 
 fn setup() -> (BddManager, Bdd, Bdd) {
     let mgr = BddManager::with_domains(

@@ -3,6 +3,9 @@
 //! evaluation (Figures 3–6, the §6.2 scaling sweep and the §2.3/§2.4/§6.4
 //! ablations). Each row function returns a [`Row`]; the `figures` binary
 //! renders it as a text table line or, with `--json`, as [`Row::json`].
+//! [`micro`] is the kernel micro-benchmarks' runner.
+
+pub mod micro;
 
 use std::time::Instant;
 use whale_bdd::BddStats;

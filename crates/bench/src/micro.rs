@@ -1,4 +1,4 @@
-//! A criterion-free micro-benchmark runner.
+//! A criterion-free micro-benchmark runner (used by `bdd_ops`).
 //!
 //! Each benchmark runs `warmup` untimed iterations, then `iters` timed
 //! ones, and reports min / median / p95 / mean per-iteration times as a
@@ -15,6 +15,7 @@
 
 use std::hint::black_box;
 use std::time::Instant;
+use whale_datalog::json_string;
 
 /// Runner configuration.
 #[derive(Debug, Clone)]
@@ -74,8 +75,8 @@ impl Bench {
         let stats = summarize(name, &mut samples_ns);
         let total_ms = samples_ns.iter().sum::<u64>() as f64 / 1e6;
         println!(
-            "{{\"bench\":\"{}\",\"iters\":{},\"warmup\":{},\"min_ns\":{},\"median_ns\":{},\"p95_ns\":{},\"mean_ns\":{:.1},\"total_ms\":{:.2}}}",
-            escape_json(&stats.name),
+            "{{\"bench\":{},\"iters\":{},\"warmup\":{},\"min_ns\":{},\"median_ns\":{},\"p95_ns\":{},\"mean_ns\":{:.1},\"total_ms\":{:.2}}}",
+            json_string(&stats.name),
             stats.iters,
             self.warmup,
             stats.min_ns,
@@ -103,22 +104,6 @@ fn summarize(name: &str, samples_ns: &mut [u64]) -> Stats {
     }
 }
 
-/// Escapes the characters JSON strings cannot contain bare. Benchmark
-/// names are ASCII identifiers in practice; this keeps the output valid
-/// even if one is not.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,7 +115,7 @@ mod tests {
             iters: 10,
         };
         let mut runs = 0u32;
-        let stats = b.bench("testkit/spin", || {
+        let stats = b.bench("micro/spin", || {
             runs += 1;
             std::hint::black_box((0..1000).sum::<u64>())
         });
@@ -148,11 +133,5 @@ mod tests {
         assert_eq!(s.median_ns, 51, "round-half-up on the 49.5 index");
         assert_eq!(s.p95_ns, 95);
         assert_eq!(s.mean_ns, 50.5);
-    }
-
-    #[test]
-    fn json_escape() {
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("x\ny"), "x\\u000ay");
     }
 }

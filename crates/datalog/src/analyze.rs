@@ -16,9 +16,10 @@
 //!   negation-cycle witness path, caught before any engine is built.
 
 use crate::ast::{Literal, Term};
-use crate::diag::{json_string, Diagnostic, Severity};
+use crate::diag::{Diagnostic, Severity};
 use crate::engine::negation_cycle;
 use crate::graph::scc_topo_order;
+use crate::json::json_string;
 use crate::{DatalogError, Program};
 use std::collections::HashMap;
 

@@ -7,6 +7,7 @@
 //! both CLIs and CI can render, filter and machine-read the lint surface
 //! uniformly (`bddbddb --check --format json`).
 
+use crate::json::json_string;
 use crate::DatalogError;
 use std::fmt;
 
@@ -322,27 +323,6 @@ pub(crate) fn render_cycle(cycle: &[String]) -> String {
         s.push_str(first);
     }
     s
-}
-
-/// Escapes a string for inclusion in JSON output (RFC 8259): the shared
-/// encoder behind diagnostic JSON, bench records, and the serve protocol.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

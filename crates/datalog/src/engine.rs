@@ -25,7 +25,7 @@ use crate::relation::RelationState;
 use crate::DatalogError;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use whale_bdd::{Bdd, BddManager, BddManagerOptions, CacheStats, DomainId, DomainSpec, OrderSpec};
+use whale_bdd::{Bdd, BddManager, CacheStats, DomainId, DomainSpec, OrderSpec};
 
 /// Tuning knobs for [`Engine`].
 #[derive(Debug, Clone)]
@@ -274,10 +274,7 @@ impl Engine {
         // Analyses routinely reach hundreds of thousands of live nodes;
         // starting large avoids early grow-and-collect cycles that clear
         // the operation caches mid-fixpoint.
-        let bdd_opts = BddManagerOptions {
-            initial_capacity: 1 << 20,
-        };
-        let mgr = BddManager::with_domains_and_options(&specs, &order, &bdd_opts)?;
+        let mgr = BddManager::with_domains_and_capacity(&specs, &order, 1 << 20)?;
 
         let mut phys = Vec::with_capacity(program.domains.len());
         let mut scratch_map = HashMap::new();
@@ -365,6 +362,24 @@ impl Engine {
                 self.program.relations.iter().map(|r| r.name.as_str()),
             )
         })
+    }
+
+    /// [`Engine::rel_ix`] for installing `bdd` as relation `name`: the BDD
+    /// must depend only on the variables of the relation's attribute
+    /// domains, or decoding it as the relation could not succeed.
+    fn rel_ix_for(&self, name: &str, bdd: &Bdd) -> Result<usize, DatalogError> {
+        let ix = self.rel_ix(name)?;
+        let vars: Vec<u32> = self.rel[ix]
+            .attr_phys
+            .iter()
+            .flat_map(|&d| self.mgr.domain_levels(d))
+            .collect();
+        if let Some(v) = bdd.support().into_iter().find(|v| !vars.contains(v)) {
+            return Err(DatalogError::BadFact(format!(
+                "BDD for `{name}` depends on variable {v}, outside the relation's attribute domains"
+            )));
+        }
+        Ok(ix)
     }
 
     /// The physical domain of each attribute of `name`, in attribute order.
@@ -642,9 +657,11 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`DatalogError::UnknownRelation`].
+    /// [`DatalogError::UnknownRelation`]; [`DatalogError::BadFact`] if
+    /// the BDD depends on a variable outside the relation's attribute
+    /// domains (the engine is left unchanged).
     pub fn set_relation_bdd(&mut self, name: &str, bdd: Bdd) -> Result<(), DatalogError> {
-        let ix = self.rel_ix(name)?;
+        let ix = self.rel_ix_for(name, &bdd)?;
         if self.solved {
             // Replacing an injected relation after a solve is an add plus
             // a retract relative to the previous base.
@@ -914,13 +931,18 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`DatalogError::UnknownRelation`].
+    /// As [`Engine::set_relation_bdd`]. Every entry is checked before any
+    /// is folded in, so on an error the engine is unchanged, its solved
+    /// flag included.
     pub fn warm_start<I>(&mut self, relations: I) -> Result<(), DatalogError>
     where
         I: IntoIterator<Item = (String, Bdd)>,
     {
-        for (name, bdd) in relations {
-            let ix = self.rel_ix(&name)?;
+        let checked = relations
+            .into_iter()
+            .map(|(name, bdd)| Ok((self.rel_ix_for(&name, &bdd)?, bdd)))
+            .collect::<Result<Vec<_>, DatalogError>>()?;
+        for (ix, bdd) in checked {
             self.rel[ix].bdd = self.rel[ix].bdd.or(&bdd);
         }
         self.solved = true;

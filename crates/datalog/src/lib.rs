@@ -46,6 +46,7 @@ mod engine;
 mod error;
 mod eval;
 pub mod graph;
+mod json;
 mod lexer;
 mod parser;
 mod plan;
@@ -54,9 +55,10 @@ mod relation;
 
 pub use analyze::{Analysis, RuleCost};
 pub use ast::{Atom, ConstraintOp, DomainDecl, Literal, RelationDecl, RelationKind, Rule, Term};
-pub use diag::{json_string, Diagnostic, Severity, Span};
+pub use diag::{Diagnostic, Severity, Span};
 pub use engine::{Engine, EngineOptions, QueryResult, SolveStats};
 pub use error::DatalogError;
+pub use json::{json_string, parse_json, Json};
 pub use program::Program;
 
 /// Parses a single query atom such as `vP(v, 3)` or `vPC(_, v, "A@main:0")`,

@@ -476,3 +476,43 @@ fn usage_errors_exit_2() {
     assert_eq!(checked.status.code(), Some(1));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A `.bdd` cache file whose BDD spans variables outside its relation's
+/// attribute domains (a two-column `path` dump offered as the one-column
+/// `a`, under a program with the same variable count) is a bad fact:
+/// exit 1 with the error on stderr, not a decode panic.
+#[test]
+fn mismatched_bdd_cache_is_a_bad_fact_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("whale_cli_badbdd_{}", std::process::id()));
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let program = dir.join("p.datalog");
+    std::fs::write(
+        &program,
+        "DOMAINS\nV 64\nRELATIONS\ninput a (x : V)\noutput b (x : V)\ninput edge (s : V, d : V)\noutput path (s : V, d : V)\nRULES\nb(x) :- a(x).\npath(x,y) :- edge(x,y).\npath(x,z) :- path(x,y), edge(y,z).\n",
+    )
+    .unwrap();
+    std::fs::write(dir.join("edge.tuples"), "0 1\n1 2\n").unwrap();
+    let run = || {
+        bddbddb()
+            .arg(&program)
+            .args(["--facts", dir.to_str().unwrap()])
+            .args(["--out", dir.to_str().unwrap()])
+            .args(["--bdd-cache", cache.to_str().unwrap()])
+            .output()
+            .unwrap()
+    };
+    let first = run();
+    assert!(
+        first.status.success(),
+        "{}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    std::fs::copy(cache.join("path.bdd"), cache.join("a.bdd")).unwrap();
+    let second = run();
+    let stderr = String::from_utf8_lossy(&second.stderr);
+    assert_eq!(second.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("bad fact"), "{stderr}");
+    assert!(stderr.contains("`a`"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -9,7 +9,7 @@
 //! deltas (stratum skipping).
 
 use std::collections::BTreeSet;
-use whale_datalog::{Engine, EngineOptions, Program, SolveStats};
+use whale_datalog::{DatalogError, Engine, EngineOptions, Program, SolveStats};
 use whale_testkit::Rng;
 
 const PROGRAM: &str = "\
@@ -268,5 +268,48 @@ fn sequential_solves_match_fresh_engines() {
                 "seed {seed} round {round}"
             );
         }
+    }
+}
+
+/// A BDD over variables outside a relation's attribute domains (here the
+/// two-column `edge` offered as the one-column `color`) is refused with
+/// `BadFact` by `set_relation_bdd` and by `warm_start`, before or after a
+/// solve, and leaves every relation and the solved flag as they were.
+#[test]
+fn out_of_signature_bdds_are_refused_and_change_nothing() {
+    const ALL: [&str; 7] = [
+        "edge",
+        "color",
+        "path",
+        "reach",
+        "node",
+        "unreached",
+        "colored",
+    ];
+    let mut e = make_engine(false, true);
+    e.add_facts("edge", [vec![0, 1], vec![1, 2], vec![2, 5]])
+        .unwrap();
+    e.add_facts("color", [vec![3]]).unwrap();
+    let wide = e.relation_bdd("edge").unwrap();
+    let snapshot =
+        |e: &Engine| -> Vec<_> { ALL.iter().map(|r| e.relation_bdd(r).unwrap()).collect() };
+    let is_bad_fact = |r: Result<(), DatalogError>| matches!(r, Err(DatalogError::BadFact(_)));
+
+    for solved in [false, true] {
+        if solved {
+            e.solve().unwrap();
+        }
+        let before = snapshot(&e);
+        assert!(is_bad_fact(e.set_relation_bdd("color", wide.clone())));
+        // The first entry alone would be accepted; the second spoils the
+        // batch, so neither is folded in.
+        let batch = vec![
+            ("path".to_string(), wide.clone()),
+            ("color".to_string(), wide.clone()),
+        ];
+        assert!(is_bad_fact(e.warm_start(batch)));
+        assert_eq!(snapshot(&e), before, "solved = {solved}");
+        assert_eq!(e.is_solved(), solved);
+        assert!(!e.has_pending_deltas());
     }
 }

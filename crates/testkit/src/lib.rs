@@ -10,14 +10,9 @@
 //! - [`prop`]: a small property-testing harness — generator combinators,
 //!   configurable case counts, failing-seed reporting and greedy
 //!   shrinking. Re-run a failure with `TESTKIT_SEED=<n>`.
-//! - [`mod@bench`]: a micro-benchmark runner (warmup, N timed iterations,
-//!   min/median/p95) that emits one JSON line per benchmark, suitable
-//!   for trajectory files and regression diffing.
 
-pub mod bench;
 pub mod prop;
 pub mod rng;
 
-pub use bench::Bench;
 pub use prop::{check, Config, Gen};
 pub use rng::Rng;

@@ -92,6 +92,17 @@ grep -q ', unique table: ' "$tc_dir/stats.txt"
 mkdir "$tc_dir/naive"
 ./target/release/bddbddb "$tc_dir/tc.datalog" --facts "$tc_dir" --out "$tc_dir/naive" --naive > /dev/null 2>&1
 cmp "$tc_dir/path.tuples" "$tc_dir/naive/path.tuples"
+# A `.bdd` cache file over the wrong attribute domains (a two-column
+# `path` dump filed as the one-column `a`, same variable count) must end
+# in a typed bad-fact error (exit 1), not a decode panic (exit 101).
+printf 'DOMAINS\nV 64\nRELATIONS\ninput a (x : V)\noutput b (x : V)\ninput edge (s : V, d : V)\noutput path (s : V, d : V)\nRULES\nb(x) :- a(x).\npath(x,y) :- edge(x,y).\npath(x,z) :- path(x,y), edge(y,z).\n' > "$tc_dir/a.datalog"
+mkdir "$tc_dir/bad"
+./target/release/bddbddb "$tc_dir/a.datalog" --facts "$tc_dir" --out "$tc_dir/bad" --bdd-cache "$tc_dir/bad" > /dev/null 2>&1
+cp "$tc_dir/bad/path.bdd" "$tc_dir/bad/a.bdd"
+bad_status=0
+./target/release/bddbddb "$tc_dir/a.datalog" --facts "$tc_dir" --out "$tc_dir/bad" --bdd-cache "$tc_dir/bad" > /dev/null 2> "$tc_dir/bad.txt" || bad_status=$?
+[ "$bad_status" -eq 1 ]
+grep -q 'bad fact' "$tc_dir/bad.txt"
 rm -rf "$tc_dir"
 echo "ci.sh: smoke bench written to results/bench_smoke.jsonl"
 

@@ -308,3 +308,60 @@ fn bad_query_atoms_are_rejected_in_band() {
     // The connection keeps serving.
     assert_eq!(response_tuples(&lines[4]), [[0, 1], [0, 2]]);
 }
+
+/// A cache entry whose dumps are swapped between relations of different
+/// signatures (the two-column `path` dump filed under the one-column
+/// `reach`) is refused as a whole: the server logs it, stays cold, and
+/// its first `select` equals a cold solve's answer.
+#[test]
+fn swapped_cache_dumps_are_refused_and_solved_cold() {
+    const REACH: &str = "\
+DOMAINS
+V 32
+RELATIONS
+input edge (s : V, d : V)
+output path (s : V, d : V)
+output reach (d : V)
+RULES
+path(x,y) :- edge(x,y).
+path(x,z) :- path(x,y), edge(y,z).
+reach(y) :- path(0,y).
+";
+    let engine = || {
+        let mut e = Engine::new(Program::parse(REACH).unwrap()).unwrap();
+        for (s, d) in [(0, 1), (1, 2), (2, 7)] {
+            e.add_fact("edge", &[s, d]).unwrap();
+        }
+        e
+    };
+    let dir = std::env::temp_dir().join(format!("whale_serve_swap_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut first = Server::new(engine(), Some(dir.clone()));
+    run_session(
+        &mut first,
+        &[r#"{"op":"solve","id":1}"#, r#"{"op":"shutdown","id":2}"#],
+    );
+    let cache_file = dir.join(format!(
+        "{:016x}.whalecache",
+        first.engine().fact_stream_hash()
+    ));
+    let text = std::fs::read_to_string(&cache_file).unwrap();
+    let swapped = text
+        .replace("relation path\n", "relation SWAP\n")
+        .replace("relation reach\n", "relation path\n")
+        .replace("relation SWAP\n", "relation reach\n");
+    assert_ne!(swapped, text);
+    std::fs::write(&cache_file, swapped).unwrap();
+
+    let select = r#"{"op":"select","relation":"reach","id":1}"#;
+    let mut refused = Server::new(engine(), Some(dir.clone()));
+    assert!(
+        !refused.engine().is_solved(),
+        "swapped dumps must not warm-start"
+    );
+    let (lines, _) = run_session(&mut refused, &[select]);
+    let (cold, _) = run_session(&mut Server::new(engine(), None), &[select]);
+    assert_eq!(response_tuples(&lines[0]), [[1], [2], [7]]);
+    assert_eq!(lines, cold);
+    std::fs::remove_dir_all(&dir).ok();
+}
