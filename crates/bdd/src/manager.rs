@@ -42,7 +42,13 @@ pub struct BddStats {
     /// Live (reachable) nodes right now.
     pub live_nodes: usize,
     /// Peak live nodes observed (sampled at GC points and stat queries).
+    /// Taken before a collection marks, so it counts garbage too and
+    /// mostly tracks table fill.
     pub peak_live_nodes: usize,
+    /// Most nodes any garbage collection marked reachable: the peak of
+    /// the nodes actually in use, sampled only when a collection runs.
+    /// Never above [`BddStats::peak_live_nodes`].
+    pub peak_reachable_nodes: usize,
     /// Total allocated node slots.
     pub allocated_nodes: usize,
     /// Number of garbage collections run.
@@ -505,6 +511,7 @@ impl BddManager {
             varcount: s.varcount,
             live_nodes: live,
             peak_live_nodes: s.peak_live,
+            peak_reachable_nodes: s.peak_reachable,
             allocated_nodes: s.capacity,
             gc_runs: s.gc_runs,
             reorder_runs: s.reorder_runs,
@@ -570,10 +577,14 @@ impl BddManager {
         self.store.borrow_mut().clear_caches();
     }
 
-    /// Resets the peak-live-node statistic to the current live count.
+    /// Resets both peak statistics to the current live count. Right
+    /// after [`BddManager::gc`] that count is exactly the reachable nodes;
+    /// at any other point it includes garbage, so the reachable peak
+    /// starts high.
     pub fn reset_peak(&self) {
         let mut s = self.store.borrow_mut();
         s.peak_live = s.live_count();
+        s.peak_reachable = s.peak_live;
     }
 
     /// Runs one sifting pass with the default max-growth bound (1.2): every

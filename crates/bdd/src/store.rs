@@ -132,6 +132,9 @@ pub(crate) struct Store {
     perm_tail: u32,
     pub(crate) gc_runs: usize,
     pub(crate) peak_live: usize,
+    /// Most nodes any collection marked reachable (see
+    /// [`crate::BddStats::peak_reachable_nodes`]).
+    pub(crate) peak_reachable: usize,
     pub(crate) domains: Vec<DomainData>,
     pub(crate) domain_names: HashMap<String, usize>,
     /// Level↔variable bijection; public API speaks variables, nodes carry
@@ -246,6 +249,7 @@ impl Store {
             perm_tail: 0,
             gc_runs: 0,
             peak_live: 0,
+            peak_reachable: 0,
             domains: Vec::new(),
             domain_names: HashMap::new(),
             order: VarOrder::new(varcount),
@@ -473,6 +477,9 @@ impl Store {
                 self.free_count += 1;
             }
         }
+        // Every surviving node was marked: the live count is now exactly
+        // what this collection found reachable.
+        self.peak_reachable = self.peak_reachable.max(self.live_count());
         let freed = live_before - self.live_count();
         if freed > 0 {
             // Entries whose operands and result all survived stay warm;

@@ -182,6 +182,30 @@ fn table_growth_under_pressure() {
     }
 }
 
+#[test]
+fn reachable_peak_is_the_live_count_after_a_collection() {
+    let m = BddManager::with_vars(12);
+    let keep = m.ithvar(0).and(&m.ithvar(1));
+    {
+        // Garbage: parities over growing prefixes, dropped before the GC.
+        let mut acc = m.zero();
+        let mut partials = Vec::new();
+        for i in 0..12 {
+            acc = acc.xor(&m.ithvar(i));
+            partials.push(acc.clone());
+        }
+    }
+    let before = m.stats();
+    m.gc();
+    let s = m.stats();
+    assert_eq!(s.peak_reachable_nodes, s.live_nodes);
+    assert!(s.peak_reachable_nodes <= s.peak_live_nodes);
+    // The live peak counted the parities; the reachable peak did not.
+    assert!(s.peak_live_nodes >= before.live_nodes);
+    assert!(s.peak_reachable_nodes < before.live_nodes);
+    assert!(!keep.is_zero());
+}
+
 trait StatsExt {
     fn manager_stats_sanity(&self) -> whale_bdd::BddStats;
 }

@@ -224,7 +224,8 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// A solved analysis as a cell: rounds, rule applications, the exact
-/// tuple count of its result relation and peak live nodes.
+/// tuple count of its result relation, peak live nodes and peak
+/// reachable nodes.
 fn solve_cell(key: &str, stats: &SolveStats, engine: &Engine, relation: &str, secs: f64) -> Cell {
     let tuples = engine
         .relation_count_exact(relation)
@@ -236,6 +237,7 @@ fn solve_cell(key: &str, stats: &SolveStats, engine: &Engine, relation: &str, se
             col("rule_applications", stats.rule_applications as u64),
             col("tuples", tuples),
             col("peak_live_nodes", stats.peak_live_nodes as u64),
+            col("peak_reachable_nodes", stats.peak_reachable_nodes as u64),
         ],
         secs,
     }

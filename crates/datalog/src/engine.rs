@@ -87,8 +87,12 @@ pub struct SolveStats {
     pub rounds: usize,
     /// Total rule (variant) applications.
     pub rule_applications: usize,
-    /// Peak live BDD nodes observed.
+    /// Peak live BDD nodes observed ([`whale_bdd::BddStats::peak_live_nodes`]:
+    /// sampled before a collection marks, so garbage counts too).
     pub peak_live_nodes: usize,
+    /// Most BDD nodes any collection during the solve marked reachable
+    /// ([`whale_bdd::BddStats::peak_reachable_nodes`]).
+    pub peak_reachable_nodes: usize,
     /// Dynamic reordering passes run during this solve (see
     /// [`EngineOptions::reorder`]).
     pub reorder_runs: usize,
@@ -892,6 +896,7 @@ impl Engine {
 
         let bdd_stats = self.mgr.stats();
         stats.peak_live_nodes = bdd_stats.peak_live_nodes;
+        stats.peak_reachable_nodes = bdd_stats.peak_reachable_nodes;
         stats.apply_cache = cache_delta(bdd_stats.apply_cache, cache_base.apply_cache);
         stats.ite_cache = cache_delta(bdd_stats.ite_cache, cache_base.ite_cache);
         stats.appex_cache = cache_delta(bdd_stats.appex_cache, cache_base.appex_cache);
@@ -1295,9 +1300,9 @@ impl Engine {
 
     /// Applies one rule plan: the single place a rule application happens
     /// and is counted. `narrowed` swaps one positive occurrence's source
-    /// for a delta, which then joins first; `None` joins the full
-    /// relations from the first atom. Negated atoms read the full
-    /// relations.
+    /// for a delta, which joins where the rule's one planned order puts
+    /// that occurrence; `None` joins the full relations. Negated atoms
+    /// read the full relations.
     ///
     /// Returns `None`, uncounted, when a positive source is empty, making
     /// the result trivially empty. Skipping such applications keeps the
@@ -1323,18 +1328,16 @@ impl Engine {
         if srcs.iter().any(Bdd::is_zero) {
             return None;
         }
-        let order = match narrowed {
-            Some((occ, _)) => RuleEval::join_order(plan, occ),
-            None if plan.positive.is_empty() => Vec::new(),
-            None => RuleEval::join_order(plan, 0),
-        };
         let neg_srcs: Vec<Bdd> = plan
             .negative
             .iter()
             .map(|a| self.rel[a.rel].bdd.clone())
             .collect();
         stats.rule_applications += 1;
-        Some(self.eval.eval_rule(plan, &srcs, &neg_srcs, &order))
+        Some(
+            self.eval
+                .eval_rule(plan, &srcs, &neg_srcs, narrowed.map(|(occ, _)| occ)),
+        )
     }
 
     /// Runs one sifting pass if reordering is enabled and the table has
@@ -1482,4 +1485,106 @@ fn expand_order(program: &Program, order: Option<&str>) -> Result<Vec<Vec<String
         groups.push(members);
     }
     Ok(groups)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The paper's load rule (Algorithms 1, 2 and 7) over a few facts.
+    const LOAD: &str = "\
+DOMAINS
+V 16
+H 16
+F 4
+RELATIONS
+input load (v1 : V, f : F, v2 : V)
+input vP0 (v : V, h : H)
+input hP (h1 : H, f : F, h2 : H)
+input vPfilter (v : V, h : H)
+output vP (v : V, h : H)
+RULES
+vP(v,h) :- vP0(v,h).
+vP(v2,h2) :- load(v1,f,v2), vP(v1,h1), hP(h1,f,h2), vPfilter(v2,h2).
+";
+
+    fn load_engine() -> Engine {
+        let mut e = Engine::new(Program::parse(LOAD).unwrap()).unwrap();
+        e.add_facts("load", [[0, 1, 2], [2, 0, 3]].iter()).unwrap();
+        e.add_facts("vP0", [[0, 5], [2, 6]].iter()).unwrap();
+        e.add_facts("hP", [[5, 1, 7], [6, 0, 8], [7, 0, 9]].iter())
+            .unwrap();
+        e.add_facts("vPfilter", [[2, 7], [3, 8], [3, 9]].iter())
+            .unwrap();
+        e
+    }
+
+    fn load_plan(e: &Engine) -> RulePlan {
+        e.prepare_solve().unwrap().plans.swap_remove(1)
+    }
+
+    fn rel_names<'a>(e: &'a Engine, plan: &RulePlan) -> Vec<&'a str> {
+        plan.joins
+            .iter()
+            .map(|s| e.program.relations[plan.positive[s.atom].rel].name.as_str())
+            .collect()
+    }
+
+    #[test]
+    fn load_rule_joins_in_rule_order_whichever_occurrence_is_narrowed() {
+        let mut e = load_engine();
+        e.solve().unwrap();
+        let plan = load_plan(&e);
+        assert_eq!(rel_names(&e, &plan), ["load", "vP", "hP", "vPfilter"]);
+        // Narrowing any occurrence to its full relation reads the same
+        // order and derives what the full application derives.
+        let srcs: Vec<Bdd> = plan
+            .positive
+            .iter()
+            .map(|a| e.rel[a.rel].bdd.clone())
+            .collect();
+        let full = e.eval.eval_rule(&plan, &srcs, &[], None);
+        assert!(!full.is_zero());
+        for occ in 0..plan.positive.len() {
+            let narrowed = e.eval.eval_rule(&plan, &srcs, &[], Some(occ));
+            assert_eq!(narrowed, full, "delta on occurrence {occ}");
+        }
+    }
+
+    #[test]
+    fn filter_relation_never_joins_as_half_a_cross_product() {
+        let e = load_engine();
+        let plan = load_plan(&e);
+        let mut bound: Vec<&str> = Vec::new();
+        for (k, step) in plan.joins.iter().enumerate() {
+            let vars = &plan.positive[step.atom].vars;
+            if k > 0 {
+                assert!(
+                    vars.iter().any(|v| bound.contains(&v.as_str())),
+                    "step {k} shares no variable with the prefix"
+                );
+            }
+            bound.extend(vars.iter().map(String::as_str));
+        }
+        // `vPfilter` joins once `load` bound v2 and `hP` bound h2: a pure
+        // filter, never `hP ⋈ vPfilter` with v2 still free (DESIGN.md §5a).
+        let names = rel_names(&e, &plan);
+        let at = |n: &str| names.iter().position(|&m| m == n).unwrap();
+        assert!(at("vPfilter") > at("load") && at("vPfilter") > at("hP"));
+        // A disconnected atom waits for a connecting one.
+        let src = "\
+DOMAINS
+V 8
+RELATIONS
+input a (x : V, y : V)
+input b (x : V, y : V)
+input c (x : V, y : V)
+output r (x : V, y : V)
+RULES
+r(p,s) :- a(p,q), b(s,t), c(q,s).
+";
+        let e = Engine::new(Program::parse(src).unwrap()).unwrap();
+        let plan = e.prepare_solve().unwrap().plans.swap_remove(0);
+        assert_eq!(rel_names(&e, &plan), ["a", "c", "b"]);
+    }
 }

@@ -7,15 +7,15 @@
 //! with the `Engine` that orchestrates the fixpoint.
 //!
 //! All sources are passed in explicitly: positive atoms through `srcs`
-//! (parallel to the plan's join order machinery) and negative atoms through
-//! `neg_srcs` (parallel to `plan.negative`). Results are pure functions of
-//! the sources.
+//! (parallel to `plan.positive`; the plan fixes the join order) and
+//! negative atoms through `neg_srcs` (parallel to `plan.negative`). Results
+//! are pure functions of the sources.
 
 use crate::ast::ConstraintOp;
 use crate::plan::{AtomPlan, ConstraintPlan, Operand, RulePlan};
 use crate::relation::move_attrs;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use whale_bdd::{Bdd, BddManager, DomainId};
 
 /// Canonical content key of one relation-level operation, interned to a
@@ -35,7 +35,7 @@ enum MemoOp {
         renames: Vec<(DomainId, DomainId)>,
     },
     /// One join step of [`RuleEval::eval_rule`]:
-    /// `∃ quant. (rename(joined) ∧ atom)` (renames empty when no rename
+    /// `∃ quant. (rename(lhs) ∧ rhs)` (renames empty when no rename
     /// was held back for fusing).
     Join {
         renames: Vec<(DomainId, DomainId)>,
@@ -138,8 +138,10 @@ impl RuleEval {
         b
     }
 
-    /// One join step: `∃ quant. (rename(joined) ∧ atom)`, with `renames`
-    /// those of a held-back first atom (empty when none was held back).
+    /// One join step: `∃ quant. (rename(joined) ∧ atom)`, with `pending`
+    /// the atom whose renames were held back for `joined` (the first atom,
+    /// or a delta joining the prefix passed as `atom_bdd`; `None` when no
+    /// rename was held back).
     /// The whole step is memoized in the kernel's client cache when
     /// `rel_cache` is on: semi-naive variants re-derive identical steps
     /// whenever the operands did not change that round.
@@ -249,71 +251,59 @@ impl RuleEval {
         }
     }
 
-    /// Applies one rule plan. `srcs` holds every positive atom's source BDD
-    /// (plan order), `neg_srcs` every negative atom's (parallel to
-    /// `plan.negative`), `order` the join order over positive-atom indices.
+    /// Applies one rule plan in its planned join order
+    /// ([`RulePlan::joins`]). `srcs` holds every positive atom's source
+    /// BDD (plan order), `neg_srcs` every negative atom's (parallel to
+    /// `plan.negative`). `delta` names the positive occurrence whose source
+    /// is a semi-naive delta; `None` is a full application.
+    ///
+    /// One atom's renames are held back and fused into the join where it
+    /// enters: the delta's in a narrowed application — fresh every round,
+    /// so unlike the stable atoms its rename can never be amortized by
+    /// the memo, and folding it into the join saves a full traversal per
+    /// application — and the first atom's in a full one. Every other atom
+    /// goes through the memoized [`RuleEval::eval_atom`].
     pub(crate) fn eval_rule(
         &self,
         plan: &RulePlan,
         srcs: &[Bdd],
         neg_srcs: &[Bdd],
-        order: &[usize],
+        delta: Option<usize>,
     ) -> Bdd {
-        let n = plan.positive.len();
-        let mut joined;
-        let mut bound: HashSet<&str> = HashSet::new();
-        // The first atom's renames are held back and fused into its first
-        // join when possible. In semi-naive rounds the first atom is the
-        // delta — fresh every round, so unlike the stable later atoms its
-        // rename can never be amortized by the replace cache, and folding
-        // it into the join saves a full traversal per round.
-        let mut pending: Option<&AtomPlan> = None;
-        if n == 0 {
-            joined = self.mgr.one();
-        } else {
-            let a0 = &plan.positive[order[0]];
-            if n > 1 && !a0.renames.is_empty() {
-                joined = self.eval_atom_prerename(a0, &srcs[order[0]]);
-                pending = Some(a0);
-            } else {
-                joined = self.eval_atom(a0, &srcs[order[0]]);
-            }
-            bound.extend(a0.vars.iter().map(String::as_str));
+        let fused = match plan.joins.first() {
+            Some(first) if plan.joins.len() > 1 => Some(delta.unwrap_or(first.atom)),
+            _ => None,
         }
-        for k in 1..n {
+        .filter(|&i| !plan.positive[i].renames.is_empty());
+        // The first atom's renames while they wait for the first join.
+        let mut pending: Option<&AtomPlan> = None;
+        let mut steps = plan.joins.iter();
+        let mut joined = match steps.next() {
+            None => self.mgr.one(),
+            Some(first) => {
+                let (ap, src) = (&plan.positive[first.atom], &srcs[first.atom]);
+                if fused == Some(first.atom) {
+                    pending = Some(ap);
+                    self.eval_atom_prerename(ap, src)
+                } else {
+                    self.eval_atom(ap, src)
+                }
+            }
+        };
+        for step in steps {
             if joined.is_zero() {
                 return joined;
             }
-            let ai = order[k];
-            let ap = &plan.positive[ai];
-            // Quantify every variable that dies at this join — including
-            // the join variables themselves when no later atom, no guard
-            // and the head do not need them: keeping a join variable alive
-            // one step longer inflates the intermediate (the classic
-            // relprod win).
-            let mut later: HashSet<&str> = HashSet::new();
-            for &j in &order[k + 1..] {
-                later.extend(plan.positive[j].vars.iter().map(String::as_str));
-            }
-            let needed = |v: &str| {
-                plan.head_vars.contains(v) || plan.guard_vars.contains(v) || later.contains(v)
+            let (ap, src) = (&plan.positive[step.atom], &srcs[step.atom]);
+            joined = if fused == Some(step.atom) {
+                // The delta enters here: it is the renamed operand and the
+                // joined prefix the other.
+                let d = self.eval_atom_prerename(ap, src);
+                self.join_step(&d, &joined, Some(ap), &step.quant)
+            } else {
+                let atom_bdd = self.eval_atom(ap, src);
+                self.join_step(&joined, &atom_bdd, pending.take(), &step.quant)
             };
-            let mut quant: Vec<DomainId> = bound
-                .iter()
-                .copied()
-                .chain(ap.vars.iter().map(String::as_str))
-                .filter(|v| !needed(v))
-                .collect::<HashSet<&str>>()
-                .into_iter()
-                .map(|v| plan.var_phys[v])
-                .collect();
-            // Canonical order: the set comes out of a HashSet, and the
-            // client-cache key must not depend on iteration order.
-            quant.sort_unstable();
-            let atom_bdd = self.eval_atom(ap, &srcs[ai]);
-            joined = self.join_step(&joined, &atom_bdd, pending.take(), &quant);
-            bound.extend(plan.positive[ai].vars.iter().map(String::as_str));
-            bound.retain(|v| needed(v));
         }
         if joined.is_zero() {
             return joined;
@@ -325,14 +315,8 @@ impl RuleEval {
             let nb = self.eval_atom(neg, &neg_srcs[i]);
             joined = joined.diff(&nb);
         }
-        // Project remaining non-head variables.
-        let extra: Vec<DomainId> = bound
-            .iter()
-            .filter(|v| !plan.head_vars.contains(**v))
-            .map(|v| plan.var_phys[*v])
-            .collect();
-        if !extra.is_empty() {
-            joined = joined.exist_domains(&extra);
+        if !plan.project.is_empty() {
+            joined = joined.exist_domains(&plan.project);
         }
         for &(p, q) in &plan.head.eqs {
             joined = joined.and(&self.mgr.domain_eq(p, q));
@@ -341,46 +325,5 @@ impl RuleEval {
             joined = joined.and(&self.mgr.domain_const(d, c));
         }
         joined
-    }
-
-    /// Greedy join order: start at `start` (the delta atom in semi-naive
-    /// variants), then repeatedly take the remaining atom sharing the most
-    /// variables with what is already joined (ties: fewer new variables,
-    /// then plan order). Avoids cross-product intermediates like joining a
-    /// filter relation before any of its variables are bound.
-    pub(crate) fn join_order(plan: &RulePlan, start: usize) -> Vec<usize> {
-        let n = plan.positive.len();
-        let mut order = Vec::with_capacity(n);
-        let mut used = vec![false; n];
-        let mut bound: HashSet<&str> = HashSet::new();
-        order.push(start);
-        used[start] = true;
-        bound.extend(plan.positive[start].vars.iter().map(String::as_str));
-        while order.len() < n {
-            let mut best: Option<(usize, usize, usize)> = None; // (shared, new, ix)
-            for (i, in_use) in used.iter().enumerate() {
-                if *in_use {
-                    continue;
-                }
-                let shared = plan.positive[i]
-                    .vars
-                    .iter()
-                    .filter(|v| bound.contains(v.as_str()))
-                    .count();
-                let new = plan.positive[i].vars.len() - shared;
-                let better = match best {
-                    None => true,
-                    Some((bs, bn, _)) => shared > bs || (shared == bs && new < bn),
-                };
-                if better {
-                    best = Some((shared, new, i));
-                }
-            }
-            let (_, _, ix) = best.expect("atom remaining");
-            used[ix] = true;
-            bound.extend(plan.positive[ix].vars.iter().map(String::as_str));
-            order.push(ix);
-        }
-        order
     }
 }

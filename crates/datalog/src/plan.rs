@@ -57,6 +57,18 @@ pub(crate) struct HeadPlan {
     pub consts: Vec<(DomainId, u64)>,
 }
 
+/// One step of a rule's join order: positive atom `atom` joins the
+/// prefix, and `quant` is quantified in that join.
+#[derive(Debug, Clone)]
+pub(crate) struct JoinStep {
+    /// Index into [`RulePlan::positive`].
+    pub atom: usize,
+    /// Physical domains of the variables that die at this join (sorted,
+    /// so the client-cache key is canonical). Empty for the first step,
+    /// which joins nothing.
+    pub quant: Vec<DomainId>,
+}
+
 /// A fully compiled rule.
 #[derive(Debug, Clone)]
 pub(crate) struct RulePlan {
@@ -64,12 +76,14 @@ pub(crate) struct RulePlan {
     pub positive: Vec<AtomPlan>,
     pub negative: Vec<AtomPlan>,
     pub constraints: Vec<ConstraintPlan>,
-    /// Physical target of each rule variable.
-    pub var_phys: HashMap<String, DomainId>,
-    /// Variables needed by the head.
-    pub head_vars: HashSet<String>,
-    /// Variables appearing in negated atoms or constraints.
-    pub guard_vars: HashSet<String>,
+    /// The rule's one join order over `positive` (see [`join_order`]),
+    /// used by every application. A semi-naive delta replaces its atom
+    /// where the order puts it.
+    pub joins: Vec<JoinStep>,
+    /// Physical domains of the variables still bound after the last join
+    /// that the head does not need (sorted): projected after the
+    /// constraints and negated atoms have read them.
+    pub project: Vec<DomainId>,
 }
 
 /// The value the quoted constant `name` stands for in logical domain
@@ -245,6 +259,47 @@ impl<'a> PlanContext<'a> {
             }
         }
 
+        // --- join order -----------------------------------------------------
+        // Quantify every variable at the join where it dies — including the
+        // join variables themselves when no later atom, no guard and the
+        // head need them: keeping a join variable alive one step longer
+        // inflates the intermediate (the classic relprod win).
+        let order = join_order(&positive);
+        let mut joins = Vec::with_capacity(order.len());
+        let mut bound: Vec<&str> = Vec::new();
+        for (k, &ai) in order.iter().enumerate() {
+            let needed = |v: &str| {
+                head_vars.contains(v)
+                    || guard_vars.contains(v)
+                    || order[k + 1..]
+                        .iter()
+                        .any(|&j| positive[j].vars.iter().any(|w| w == v))
+            };
+            for v in &positive[ai].vars {
+                if !bound.contains(&v.as_str()) {
+                    bound.push(v);
+                }
+            }
+            // The first atom joins nothing, so nothing dies there.
+            let mut quant: Vec<DomainId> = Vec::new();
+            if k > 0 {
+                quant = bound
+                    .iter()
+                    .filter(|v| !needed(v))
+                    .map(|v| var_phys[*v])
+                    .collect();
+                quant.sort_unstable();
+                bound.retain(|v| needed(v));
+            }
+            joins.push(JoinStep { atom: ai, quant });
+        }
+        let mut project: Vec<DomainId> = bound
+            .iter()
+            .filter(|v| !head_vars.contains(**v))
+            .map(|v| var_phys[*v])
+            .collect();
+        project.sort_unstable();
+
         Ok(RulePlan {
             head: HeadPlan {
                 rel: head_rel_ix,
@@ -254,9 +309,8 @@ impl<'a> PlanContext<'a> {
             positive,
             negative,
             constraints,
-            var_phys,
-            head_vars,
-            guard_vars,
+            joins,
+            project,
         })
     }
 
@@ -320,4 +374,48 @@ impl<'a> PlanContext<'a> {
             vars,
         })
     }
+}
+
+/// The greedy connected join order: start at the first body atom, then
+/// repeatedly take the remaining atom sharing the most variables with
+/// what is already joined (ties: fewer new variables, then body order).
+/// Avoids cross-product intermediates like joining a filter relation
+/// before any of its variables are bound (DESIGN.md §5a). Computed once
+/// per rule; a semi-naive delta joins where this order puts its atom.
+pub(crate) fn join_order(positive: &[AtomPlan]) -> Vec<usize> {
+    let n = positive.len();
+    let mut order = Vec::with_capacity(n);
+    let mut used = vec![false; n];
+    let mut bound: HashSet<&str> = HashSet::new();
+    if n > 0 {
+        order.push(0);
+        used[0] = true;
+        bound.extend(positive[0].vars.iter().map(String::as_str));
+    }
+    while order.len() < n {
+        let mut best: Option<(usize, usize, usize)> = None; // (shared, new, ix)
+        for (i, in_use) in used.iter().enumerate() {
+            if *in_use {
+                continue;
+            }
+            let shared = positive[i]
+                .vars
+                .iter()
+                .filter(|v| bound.contains(v.as_str()))
+                .count();
+            let new = positive[i].vars.len() - shared;
+            let better = match best {
+                None => true,
+                Some((bs, bn, _)) => shared > bs || (shared == bs && new < bn),
+            };
+            if better {
+                best = Some((shared, new, i));
+            }
+        }
+        let (_, _, ix) = best.expect("atom remaining");
+        used[ix] = true;
+        bound.extend(positive[ix].vars.iter().map(String::as_str));
+        order.push(ix);
+    }
+    order
 }

@@ -40,8 +40,9 @@
 //! `<dir>/<fact_stream_hash>.whalecache` — a concatenation of io v2 BDD
 //! dumps, one per relation, written on clean shutdown. A hit restores
 //! every relation through the hardened [`whale_bdd::io::read_bdd`] and
-//! skips the cold solve entirely; any decode error logs to stderr and
-//! falls back to solving from the loaded facts. The key covers the
+//! skips the cold solve entirely; any decode error, or a relation whose
+//! digest (its name plus its dump bytes) does not match, logs to stderr
+//! and falls back to solving from the loaded facts. The key covers the
 //! program, the variable order, and the canonical node structure of every
 //! relation's base facts, so a stale dump can only be reached by a hash
 //! collision, not by a changed input. An engine that sifted its order
@@ -330,14 +331,27 @@ fn cache_path(engine: &Engine, dir: &Path) -> PathBuf {
     dir.join(format!("{:016x}.whalecache", engine.fact_stream_hash()))
 }
 
+/// FNV-1a over a relation's name and its io v2 dump bytes: the check on
+/// each `relation` line of a cache file. It ties a dump to the name it is
+/// filed under, so a dump moved to another relation of the same
+/// signature is refused rather than answered from.
+fn relation_digest(name: &str, dump: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in name.as_bytes().iter().chain(&[0xff]).chain(dump) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Serializes every relation of a solved engine as concatenated io v2
 /// dumps. The format is line-oriented all the way down, so the whole
 /// file stays greppable:
 ///
 /// ```text
-/// whalecache 1 <relation-count>
-/// relation <name>
-/// bdd 2 ...            (io v2 dump of that relation)
+/// whalecache 2 <relation-count>
+/// relation <name> <digest>    (16 hex digits, see `relation_digest`)
+/// bdd 2 ...                   (io v2 dump of that relation)
 /// ...
 /// ```
 fn write_cache(engine: &Engine, dir: &Path) -> std::io::Result<()> {
@@ -352,13 +366,16 @@ fn write_cache(engine: &Engine, dir: &Path) -> std::io::Result<()> {
             .iter()
             .map(|r| r.name.clone())
             .collect();
-        writeln!(out, "whalecache 1 {}", names.len())?;
+        writeln!(out, "whalecache 2 {}", names.len())?;
+        let mut dump = Vec::new();
         for name in &names {
             let bdd = engine
                 .relation_bdd(name)
                 .expect("declared relation resolves");
-            writeln!(out, "relation {name}")?;
-            whale_bdd::io::write_bdd(&bdd, &mut out)?;
+            dump.clear();
+            whale_bdd::io::write_bdd(&bdd, &mut dump)?;
+            writeln!(out, "relation {name} {:016x}", relation_digest(name, &dump))?;
+            out.write_all(&dump)?;
         }
     }
     // Atomic publish: a crash mid-write leaves only a .tmp, which the
@@ -369,23 +386,24 @@ fn write_cache(engine: &Engine, dir: &Path) -> std::io::Result<()> {
 
 /// Probes the cache for the engine's fact-stream key and restores on a
 /// hit. `Ok(true)` — warm; `Ok(false)` — no entry; `Err` — entry exists
-/// but is corrupt (the caller logs and cold-solves; the engine is left
-/// unsolved and unpoisoned because restored values only land via
+/// but is corrupt or a relation's digest does not match its name and
+/// dump (the caller logs and cold-solves; the engine is left unsolved
+/// and unpoisoned because restored values only land via
 /// [`Engine::warm_start`] after the whole file decoded).
 fn try_warm_start(engine: &mut Engine, dir: &Path) -> Result<bool, String> {
     let path = cache_path(engine, dir);
-    let file = match std::fs::File::open(&path) {
-        Ok(f) => f,
+    let bytes = match std::fs::read(&path) {
+        Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
         Err(e) => return Err(format!("{}: {e}", path.display())),
     };
-    let mut reader = BufReader::new(file);
+    let mut reader: &[u8] = &bytes;
     let mut line = String::new();
     reader
         .read_line(&mut line)
         .map_err(|e| format!("{}: {e}", path.display()))?;
     let parts: Vec<&str> = line.split_whitespace().collect();
-    if parts.len() != 3 || parts[0] != "whalecache" || parts[1] != "1" {
+    if parts.len() != 3 || parts[0] != "whalecache" || parts[1] != "2" {
         return Err(format!("{}: bad cache header", path.display()));
     }
     let count: usize = parts[2]
@@ -409,14 +427,23 @@ fn try_warm_start(engine: &mut Engine, dir: &Path) -> Result<bool, String> {
         reader
             .read_line(&mut line)
             .map_err(|e| format!("{}: {e}", path.display()))?;
-        let Some(name) = line.strip_prefix("relation ").map(str::trim) else {
+        let marker: Vec<&str> = line.split_whitespace().collect();
+        let ["relation", name, digest] = marker[..] else {
             return Err(format!("{}: missing relation marker", path.display()));
         };
         if !declared.contains(name) {
             return Err(format!("{}: unknown relation `{name}`", path.display()));
         }
+        let rest = reader;
         let bdd = whale_bdd::io::read_bdd(engine.manager(), &mut reader)
             .map_err(|e| format!("{}: relation `{name}`: {e}", path.display()))?;
+        let dump = &rest[..rest.len() - reader.len()];
+        if u64::from_str_radix(digest, 16) != Ok(relation_digest(name, dump)) {
+            return Err(format!(
+                "{}: relation `{name}`: digest mismatch",
+                path.display()
+            ));
+        }
         restored.push((name.to_string(), bdd));
     }
     engine.warm_start(restored).map_err(stringify)?;

@@ -182,7 +182,7 @@ fn warm_start_cache_roundtrip_and_corruption_fallback() {
     // and still answers correctly.
     for garbage in [
         "",
-        "whalecache 1 1\nrelation path\nbdd 2 garbage",
+        "whalecache 2 1\nrelation path 0\nbdd 2 garbage",
         "\0\0\0\0",
     ] {
         std::fs::write(&cache_file, garbage).unwrap();
@@ -309,6 +309,20 @@ fn bad_query_atoms_are_rejected_in_band() {
     assert_eq!(response_tuples(&lines[4]), [[0, 1], [0, 2]]);
 }
 
+/// Swaps the whole `relation <name> <digest>` lines of relations `a` and
+/// `b` in a cache file, leaving the dumps where they are.
+fn swap_relation_headers(cache_file: &std::path::Path, a: &str, b: &str) {
+    let text = std::fs::read_to_string(cache_file).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    let find = |name: &str| {
+        let prefix = format!("relation {name} ");
+        lines.iter().position(|l| l.starts_with(&prefix)).unwrap()
+    };
+    let (ia, ib) = (find(a), find(b));
+    lines.swap(ia, ib);
+    std::fs::write(cache_file, lines.join("\n") + "\n").unwrap();
+}
+
 /// A cache entry whose dumps are swapped between relations of different
 /// signatures (the two-column `path` dump filed under the one-column
 /// `reach`) is refused as a whole: the server logs it, stays cold, and
@@ -345,13 +359,7 @@ reach(y) :- path(0,y).
         "{:016x}.whalecache",
         first.engine().fact_stream_hash()
     ));
-    let text = std::fs::read_to_string(&cache_file).unwrap();
-    let swapped = text
-        .replace("relation path\n", "relation SWAP\n")
-        .replace("relation reach\n", "relation path\n")
-        .replace("relation SWAP\n", "relation reach\n");
-    assert_ne!(swapped, text);
-    std::fs::write(&cache_file, swapped).unwrap();
+    swap_relation_headers(&cache_file, "path", "reach");
 
     let select = r#"{"op":"select","relation":"reach","id":1}"#;
     let mut refused = Server::new(engine(), Some(dir.clone()));
@@ -362,6 +370,52 @@ reach(y) :- path(0,y).
     let (lines, _) = run_session(&mut refused, &[select]);
     let (cold, _) = run_session(&mut Server::new(engine(), None), &[select]);
     assert_eq!(response_tuples(&lines[0]), [[1], [2], [7]]);
+    assert_eq!(lines, cold);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A real `whale serve --ci` cache whose `vP` and `vPfilter` headers are
+/// swapped: both relations have the signature `(V, H)`, so only the
+/// per-relation digest tells the dumps apart. The server refuses the
+/// cache and its `select vP` equals a cold server's.
+#[test]
+fn swapped_same_signature_headers_are_refused() {
+    use whale::core::{prepare_context_insensitive, CallGraphMode};
+    use whale::ir::{parse_program, Facts};
+    const APP: &str = "\
+class A extends Object {
+  entry static method main() {
+    var a: A;
+    a = new A;
+  }
+}
+";
+    let engine = || {
+        let facts = Facts::extract(&parse_program(APP).unwrap());
+        prepare_context_insensitive(&facts, true, CallGraphMode::Cha, None).unwrap()
+    };
+    let dir = std::env::temp_dir().join(format!("whale_serve_vp_swap_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut first = Server::new(engine(), Some(dir.clone()));
+    run_session(
+        &mut first,
+        &[r#"{"op":"solve","id":1}"#, r#"{"op":"shutdown","id":2}"#],
+    );
+    let cache_file = dir.join(format!(
+        "{:016x}.whalecache",
+        first.engine().fact_stream_hash()
+    ));
+    swap_relation_headers(&cache_file, "vP", "vPfilter");
+
+    let select = r#"{"op":"select","relation":"vP","id":1}"#;
+    let mut refused = Server::new(engine(), Some(dir.clone()));
+    assert!(
+        !refused.engine().is_solved(),
+        "swapped same-signature dumps must not warm-start"
+    );
+    let (lines, _) = run_session(&mut refused, &[select]);
+    let (cold, _) = run_session(&mut Server::new(engine(), None), &[select]);
+    assert_eq!(response_tuples(&lines[0]).len(), 1, "{}", lines[0]);
     assert_eq!(lines, cold);
     std::fs::remove_dir_all(&dir).ok();
 }
