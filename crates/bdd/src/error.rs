@@ -30,9 +30,6 @@ pub enum BddError {
         /// Second domain name.
         right: String,
     },
-    /// A `replace` fallback required the target variables to be absent from
-    /// the function's support, but they were present.
-    ReplaceTargetInSupport,
 }
 
 impl fmt::Display for BddError {
@@ -59,9 +56,6 @@ impl fmt::Display for BddError {
                 f,
                 "domains `{left}` and `{right}` have different bit widths"
             ),
-            BddError::ReplaceTargetInSupport => {
-                write!(f, "replace target variables overlap the function's support")
-            }
         }
     }
 }

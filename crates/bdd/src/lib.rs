@@ -15,11 +15,13 @@
 //! - quantification and the combined *relational product*
 //!   ([`Bdd::exist`], [`Bdd::relprod`]) used to implement Datalog joins,
 //! - variable renaming ([`Bdd::replace`]) used to implement attribute
-//!   renaming, and the fused rename-then-join kernel
-//!   ([`Bdd::replace_relprod_domains`]) that performs a monotone rename *on
-//!   the fly* inside the AND-∃ recursion — the dominant `rename ∘ join`
-//!   sequence of compiled Datalog rules in one traversal with no
-//!   intermediate BDD,
+//!   renaming: one recursion, correct for any pairing (swaps, cycles,
+//!   targets already in the support), that places a node landing out of
+//!   order with `ite` as BuDDy's `correctify` does. The rename-then-join
+//!   ([`Bdd::replace_relprod_domains`]) performs an order-preserving
+//!   rename *on the fly* inside the AND-∃ recursion — the dominant
+//!   `rename ∘ join` sequence of compiled Datalog rules in one traversal
+//!   with no intermediate BDD — and renames any other first,
 //! - model counting and enumeration ([`Bdd::satcount`],
 //!   [`Bdd::for_each_tuple`]),
 //! - a finite-domain ("fdd") layer assigning blocks of boolean variables to

@@ -45,9 +45,10 @@ pub struct BddStats {
     /// Taken before a collection marks, so it counts garbage too and
     /// mostly tracks table fill.
     pub peak_live_nodes: usize,
-    /// Most nodes any garbage collection marked reachable: the peak of
-    /// the nodes actually in use, sampled only when a collection runs.
-    /// Never above [`BddStats::peak_live_nodes`].
+    /// Most nodes any garbage collection or
+    /// [`BddManager::sample_reachable`] marked reachable: the peak of the
+    /// nodes actually in use, sampled only at those points. Never above
+    /// [`BddStats::peak_live_nodes`].
     pub peak_reachable_nodes: usize,
     /// Total allocated node slots.
     pub allocated_nodes: usize,
@@ -469,6 +470,14 @@ impl BddManager {
         self.store.borrow_mut().gc();
     }
 
+    /// Counts the nodes reachable from live handles without collecting,
+    /// and folds the count into [`BddStats::peak_reachable_nodes`]. Lets a
+    /// caller sample the peak at a point of its choosing, such as the end
+    /// of a solve that never had to collect.
+    pub fn sample_reachable(&self) -> usize {
+        self.store.borrow_mut().sample_reachable()
+    }
+
     /// Audits every structural invariant of the node store and the
     /// operation caches: unique-table canonicity (no duplicate
     /// `(level, low, high)` triples, no unreduced `low == high` nodes,
@@ -818,7 +827,8 @@ impl Bdd {
 
     /// Renames whole domains: each `(from, to)` pair moves the function's
     /// dependence on `from`'s variables onto `to`'s variables (BDD
-    /// `replace`).
+    /// `replace`). The pairs act simultaneously, so swaps, cycles and
+    /// targets already in the support are all renamed correctly.
     ///
     /// # Example
     ///
@@ -832,178 +842,91 @@ impl Bdd {
     /// let (v0, v1) = (mgr.domain("V0").unwrap(), mgr.domain("V1").unwrap());
     /// let f = mgr.domain_range(v0, 5, 9);
     /// assert_eq!(f.replace(&[(v0, v1)]), mgr.domain_range(v1, 5, 9));
+    /// // A swap: (v0 = 1, v1 = 2) becomes (v0 = 2, v1 = 1).
+    /// let t = mgr.domain_const(v0, 1).and(&mgr.domain_const(v1, 2));
+    /// let swapped = mgr.domain_const(v0, 2).and(&mgr.domain_const(v1, 1));
+    /// assert_eq!(t.replace(&[(v0, v1), (v1, v0)]), swapped);
     /// # Ok(())
     /// # }
     /// ```
     ///
     /// # Panics
     ///
-    /// Panics if widths differ, or if the rename is non-monotone *and* a
-    /// target domain overlaps the support (see [`Bdd::try_replace`]).
+    /// Panics if a pair's domains have different bit widths (see
+    /// [`Bdd::try_replace`]).
     pub fn replace(&self, pairs: &[(DomainId, DomainId)]) -> Bdd {
         self.try_replace(pairs)
-            .expect("replace: target variables overlap support in non-monotone rename")
+            .unwrap_or_else(|e| panic!("replace: {e}"))
     }
 
     /// Fallible version of [`Bdd::replace`].
     ///
     /// # Errors
     ///
-    /// [`BddError::BitWidthMismatch`] if a pair has different widths;
-    /// [`BddError::ReplaceTargetInSupport`] if the rename is non-monotone
-    /// and a target variable is in the support (the conjoin-and-quantify
-    /// fallback would then be unsound).
+    /// [`BddError::BitWidthMismatch`] if a pair has different widths.
     pub fn try_replace(&self, pairs: &[(DomainId, DomainId)]) -> Result<Bdd, BddError> {
-        let level_pairs: Vec<(Level, Level)> = {
-            let s = self.store.borrow();
-            let mut lp = Vec::new();
-            for &(from, to) in pairs {
-                let (fb, tb) = (&s.domains[from.0].bits, &s.domains[to.0].bits);
-                if fb.len() != tb.len() {
-                    return Err(BddError::BitWidthMismatch {
-                        left: s.domains[from.0].name.clone(),
-                        right: s.domains[to.0].name.clone(),
-                    });
-                }
-                lp.extend(fb.iter().copied().zip(tb.iter().copied()));
-            }
-            lp
-        };
-        self.try_replace_levels(&level_pairs)
+        let pairs = self.level_pairs(pairs)?;
+        Ok(self.replace_levels(&pairs))
     }
 
-    /// Renames individual variable levels.
-    ///
-    /// Uses a fast recursive pass when the mapping is monotone on the
-    /// support; otherwise falls back to `∃ from. (self ∧ eq(from, to))`,
-    /// which requires the target variables to be absent from the support.
-    ///
-    /// # Errors
-    ///
-    /// [`BddError::ReplaceTargetInSupport`] when neither strategy applies.
-    pub fn try_replace_levels(&self, pairs: &[(Level, Level)]) -> Result<Bdd, BddError> {
-        let pairs: Vec<(Level, Level)> = pairs.iter().copied().filter(|&(f, t)| f != t).collect();
-        if pairs.is_empty() {
-            return Ok(self.clone());
-        }
-        let mut s = self.store.borrow_mut();
-        s.enter_public_op();
-        let support = s.support(self.idx);
-        // Pairs whose source is not in the support are no-ops.
-        let live_pairs: Vec<(Level, Level)> = pairs
-            .iter()
-            .copied()
-            .filter(|&(f, _)| support.binary_search(&f).is_ok())
-            .collect();
-        if live_pairs.is_empty() {
-            let idx = self.idx;
-            return Ok(self.wrap(&mut s, idx));
-        }
-        if s.replace_is_monotone(&support, &live_pairs) {
-            let idx = s.replace_monotone(self.idx, &live_pairs);
-            return Ok(self.wrap(&mut s, idx));
-        }
-        // Fallback: conjoin with an equality relation and quantify sources.
-        for &(_, to) in &live_pairs {
-            if support.binary_search(&to).is_ok() {
-                return Err(BddError::ReplaceTargetInSupport);
-            }
-        }
-        let from_bits: Vec<Level> = live_pairs.iter().map(|&(f, _)| f).collect();
-        let to_bits: Vec<Level> = live_pairs.iter().map(|&(_, t)| t).collect();
-        s.protect(self.idx);
-        let eq = eq_rec(&mut s, &from_bits, &to_bits);
-        s.protect(eq);
-        let idx = s.relprod(self.idx, eq, &from_bits);
-        s.unprotect(2);
-        Ok(self.wrap(&mut s, idx))
-    }
-
-    /// Fused rename-then-join at variable-level granularity:
-    /// `∃ vars. (replace(self, pairs) ∧ other)` in one kernel traversal,
-    /// with no intermediate BDD for the renamed operand.
-    ///
-    /// Returns `None` when the rename is not monotone on the support of
-    /// `self` — the single-pass kernel only applies to order-preserving
-    /// renames, so the caller must then rename separately (e.g. via
-    /// [`Bdd::try_replace_levels`]) and join with [`Bdd::relprod`].
-    pub fn fused_replace_relprod_levels(
-        &self,
-        other: &Bdd,
-        pairs: &[(Level, Level)],
-        vars: &[Level],
-    ) -> Option<Bdd> {
-        self.same_store(other);
-        let pairs: Vec<(Level, Level)> = pairs.iter().copied().filter(|&(f, t)| f != t).collect();
-        let mut s = self.store.borrow_mut();
-        s.enter_public_op();
-        if pairs.is_empty() {
-            let idx = s.relprod(self.idx, other.idx, vars);
-            return Some(self.wrap(&mut s, idx));
-        }
-        let support = s.support(self.idx);
-        let live_pairs: Vec<(Level, Level)> = pairs
-            .iter()
-            .copied()
-            .filter(|&(f, _)| support.binary_search(&f).is_ok())
-            .collect();
-        if !s.replace_is_monotone(&support, &live_pairs) {
-            return None;
-        }
-        let idx = s.replace_relprod(self.idx, other.idx, &live_pairs, vars);
-        Some(self.wrap(&mut s, idx))
-    }
-
-    /// [`Bdd::fused_replace_relprod_levels`] over whole domains: renames
-    /// each `(from, to)` domain pair of `self` while joining with `other`
-    /// and quantifying `doms`, in one traversal.
-    ///
-    /// Returns `None` when the induced level rename is not monotone on the
-    /// support (rename separately, then join).
+    /// Renames individual variables: [`Bdd::replace`] over `(from, to)`
+    /// variable pairs.
     ///
     /// # Panics
     ///
-    /// Panics if a rename pair has mismatched bit widths.
-    pub fn fused_replace_relprod_domains(
-        &self,
-        other: &Bdd,
-        pairs: &[(DomainId, DomainId)],
-        doms: &[DomainId],
-    ) -> Option<Bdd> {
-        let (level_pairs, vars) = {
-            let s = self.store.borrow();
-            let mut lp = Vec::new();
-            for &(from, to) in pairs {
-                let (fb, tb) = (&s.domains[from.0].bits, &s.domains[to.0].bits);
-                assert_eq!(
-                    fb.len(),
-                    tb.len(),
-                    "fused replace+relprod requires equal bit widths ({} vs {})",
-                    s.domains[from.0].name,
-                    s.domains[to.0].name
-                );
-                lp.extend(fb.iter().copied().zip(tb.iter().copied()));
-            }
-            (lp, s.vars_of(doms))
-        };
-        self.fused_replace_relprod_levels(other, &level_pairs, &vars)
+    /// Panics if a variable is out of range.
+    pub fn replace_levels(&self, pairs: &[(Level, Level)]) -> Bdd {
+        self.public_op(&[], |s, f| s.replace(f, pairs))
     }
 
-    /// `∃ doms. (replace(self, pairs) ∧ other)` — fused into one traversal
-    /// when the rename is monotone on the support, composed from
-    /// [`Bdd::replace`] and [`Bdd::relprod_domains`] otherwise.
+    /// The variable pairs of whole-domain rename `pairs`, each domain's
+    /// bits matched least-significant first.
+    fn level_pairs(&self, pairs: &[(DomainId, DomainId)]) -> Result<Vec<(Level, Level)>, BddError> {
+        let s = self.store.borrow();
+        let mut lp = Vec::new();
+        for &(from, to) in pairs {
+            let (fb, tb) = (&s.domains[from.0].bits, &s.domains[to.0].bits);
+            if fb.len() != tb.len() {
+                return Err(BddError::BitWidthMismatch {
+                    left: s.domains[from.0].name.clone(),
+                    right: s.domains[to.0].name.clone(),
+                });
+            }
+            lp.extend(fb.iter().copied().zip(tb.iter().copied()));
+        }
+        Ok(lp)
+    }
+
+    /// Rename-then-join over variables: `∃ vars. (replace(self, pairs) ∧
+    /// other)`. A rename that keeps the order of `self`'s support runs as
+    /// one fused kernel traversal with no intermediate BDD for the renamed
+    /// operand; any other is renamed first and then joined.
+    pub fn replace_relprod(&self, other: &Bdd, pairs: &[(Level, Level)], vars: &[Level]) -> Bdd {
+        self.public_op(&[other], |s, f| {
+            s.replace_relprod(f, other.idx, pairs, vars)
+        })
+    }
+
+    /// [`Bdd::replace_relprod`] over whole domains: renames each
+    /// `(from, to)` domain pair of `self` while joining with `other` and
+    /// quantifying `doms`.
     ///
     /// # Panics
     ///
-    /// As [`Bdd::replace`] on the composed fallback path.
+    /// As [`Bdd::replace`].
     pub fn replace_relprod_domains(
         &self,
         other: &Bdd,
         pairs: &[(DomainId, DomainId)],
         doms: &[DomainId],
     ) -> Bdd {
-        self.fused_replace_relprod_domains(other, pairs, doms)
-            .unwrap_or_else(|| self.replace(pairs).relprod_domains(other, doms))
+        let pairs = self
+            .level_pairs(pairs)
+            .unwrap_or_else(|e| panic!("replace_relprod_domains: {e}"));
+        self.public_op(&[other], |s, f| {
+            let vars = s.vars_of(doms);
+            s.replace_relprod(f, other.idx, &pairs, &vars)
+        })
     }
 
     /// Number of satisfying assignments over all manager variables.

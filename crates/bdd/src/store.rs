@@ -445,18 +445,7 @@ impl Store {
 
     pub(crate) fn gc(&mut self) {
         self.peak_live = self.peak_live.max(self.live_count());
-        // Only the used prefix is scanned: slots past it were never written.
-        self.marks.resize(self.nodes.len(), false);
-        // Mark phase: externally referenced nodes and the kernel refstack.
-        for i in 2..self.nodes.len() {
-            if self.nodes[i].refcount > 0 && self.nodes[i].low != NIL {
-                self.mark(i as u32);
-            }
-        }
-        let roots: Vec<u32> = self.refstack.clone();
-        for r in roots {
-            self.mark(r);
-        }
+        self.mark_roots();
         // Sweep phase: rebuild the unique table and the free list. The used
         // prefix never shrinks, so the bucket array keeps its size.
         let live_before = self.live_count();
@@ -494,6 +483,32 @@ impl Store {
             // unique table, the free list and every cache's validity.
             self.sanitize_check("after GC");
         }
+    }
+
+    /// The mark phase of a collection: flags every node reachable from an
+    /// external reference or the kernel refstack. Only the used prefix is
+    /// scanned: slots past it were never written.
+    fn mark_roots(&mut self) {
+        self.marks.resize(self.nodes.len(), false);
+        for i in 2..self.nodes.len() {
+            if self.nodes[i].refcount > 0 && self.nodes[i].low != NIL {
+                self.mark(i as u32);
+            }
+        }
+        let roots: Vec<u32> = self.refstack.clone();
+        for r in roots {
+            self.mark(r);
+        }
+    }
+
+    /// A collection's mark phase without its sweep: counts the nodes in
+    /// use, folds the count into `peak_reachable` and clears the marks.
+    pub(crate) fn sample_reachable(&mut self) -> usize {
+        self.mark_roots();
+        let reachable = self.marks.iter().filter(|&&m| m).count();
+        self.marks.fill(false);
+        self.peak_reachable = self.peak_reachable.max(reachable);
+        reachable
     }
 
     /// Revalidates the operation caches after a node-freeing sweep. Freed
@@ -1131,17 +1146,16 @@ impl Store {
 
     // ----- replace -----------------------------------------------------------
 
-    /// Renames variables of `f` according to `pairs` of `(from, to)` levels.
-    ///
-    /// The fast path applies when the induced level mapping is monotone on
-    /// the support of `f`; otherwise the caller (the manager) falls back to a
-    /// conjoin-and-quantify rename.
-    pub(crate) fn replace_monotone(&mut self, f: u32, pairs: &[(Level, Level)]) -> u32 {
+    /// Renames the variables of `f` by `pairs` of `(from, to)` variables:
+    /// the simultaneous substitution `f[from := to, ...]`, correct for any
+    /// pairing (cycles, swaps, targets already in the support, merges).
+    pub(crate) fn replace(&mut self, f: u32, pairs: &[(Level, Level)]) -> u32 {
+        let pairs: Vec<(Level, Level)> = pairs.iter().copied().filter(|&(a, b)| a != b).collect();
         if self.is_term(f) || pairs.is_empty() {
             return f;
         }
-        self.set_perm(pairs);
-        let id = self.perm_id(pairs);
+        self.set_perm(&pairs);
+        let id = self.perm_id(&pairs);
         self.replace_rec(f, id)
     }
 
@@ -1158,6 +1172,11 @@ impl Store {
         }
     }
 
+    /// Renames bottom-up. A node whose target level lies above both renamed
+    /// children is rebuilt in place by `mk`; that is every node of a
+    /// rename that keeps the support's order. A node that lands at or below
+    /// a renamed child is placed by `ite(var(target), high, low)`, which
+    /// is BuDDy's `correctify`.
     fn replace_rec(&mut self, f: u32, seq: u32) -> u32 {
         if self.is_term(f) {
             return f;
@@ -1173,22 +1192,30 @@ impl Store {
         self.push_ref(low);
         let high = self.replace_rec(fhigh, seq);
         self.push_ref(high);
-        let res = self.mk(self.perm[flevel as usize], low, high);
+        let level = self.perm[flevel as usize];
+        let res = if level < self.level(low) && level < self.level(high) {
+            self.mk(level, low, high)
+        } else {
+            let var = self.mk(level, ZERO, ONE);
+            self.push_ref(var);
+            let r = self.ite_rec(var, high, low);
+            self.pop_ref(1);
+            r
+        };
         self.pop_ref(2);
         self.replace_cache.put(f, NIL, seq, res);
         res
     }
 
-    /// The fused kernel: `∃ vars. (replace(f, pairs) ∧ g)` in a single
-    /// traversal with no intermediate BDD.
+    /// `∃ vars. (replace(f, pairs) ∧ g)`.
     ///
-    /// The rename is applied *during* the AND-∃ recursion: each node of `f`
-    /// is read at its translated level `perm[level]`, which is sound
-    /// because the caller guarantees `pairs` is monotone on the support of
-    /// `f` (translation preserves the relative order of `f`'s nodes, so
-    /// the renamed `f` is a well-formed OBDD that is never materialized).
-    /// Results are memoized in the `appex_cache` under a tag derived from
-    /// the (varset, permutation) pair.
+    /// When `pairs` keep the relative order of `f`'s support, this is one
+    /// fused traversal with no intermediate BDD: each node of `f` is read
+    /// at its translated level `perm[level]`, so the renamed `f` is a
+    /// well-formed OBDD that is never materialized. Results are memoized
+    /// in the `appex_cache` under a tag derived from the (varset,
+    /// permutation) pair. Any other rename is materialized by
+    /// [`Store::replace`] and then joined by [`Store::relprod`].
     pub(crate) fn replace_relprod(
         &mut self,
         f: u32,
@@ -1196,15 +1223,26 @@ impl Store {
         pairs: &[(Level, Level)],
         vars: &[Level],
     ) -> u32 {
-        if pairs.is_empty() {
-            return if vars.is_empty() {
-                self.apply_rec::<AND>(f, g)
-            } else {
-                self.relprod(f, g, vars)
-            };
+        // Pairs whose source is not in the support are no-ops; dropping
+        // them keeps `perm_tail` tight.
+        let support = self.support(f);
+        let live: Vec<(Level, Level)> = pairs
+            .iter()
+            .copied()
+            .filter(|&(a, b)| a != b && support.binary_search(&a).is_ok())
+            .collect();
+        if live.is_empty() {
+            return self.relprod(f, g, vars);
+        }
+        if !self.replace_is_monotone(&support, &live) {
+            let renamed = self.replace(f, &live);
+            self.push_ref(renamed);
+            let res = self.relprod(renamed, g, vars);
+            self.pop_ref(1);
+            return res;
         }
         self.set_quant(vars);
-        self.set_perm(pairs);
+        self.set_perm(&live);
         // Levels >= perm_tail are untouched by the permutation; once the
         // recursion is past both it and the last quantified level it can
         // downgrade to the plain AND and share the apply cache.
@@ -1214,7 +1252,7 @@ impl Store {
         }
         self.perm_tail = tail;
         let vid = self.varset_id(vars);
-        let pid = self.perm_id(pairs);
+        let pid = self.perm_id(&live);
         let fseq = self.fused_seq(vid, pid);
         let eseq = vid.wrapping_mul(2);
         self.fused_rec(f, g, fseq, eseq)

@@ -110,34 +110,118 @@ fn replace_monotone_shift() {
     let x0 = m.ithvar(0);
     let x1 = m.ithvar(1);
     let f = x0.and(&x1); // vars {0,1}
-    let g = f.try_replace_levels(&[(0, 2), (1, 3)]).unwrap();
+    let g = f.replace_levels(&[(0, 2), (1, 3)]);
     assert_eq!(g, m.ithvar(2).and(&m.ithvar(3)));
 }
 
 #[test]
-fn replace_non_monotone_falls_back() {
+fn replace_non_monotone_reverses_order() {
     let m = mgr4();
     // f over {0,1}; rename 0->3 and 1->2 reverses relative order.
     let f = m.ithvar(0).and(&m.ithvar(1).not());
-    let g = f.try_replace_levels(&[(0, 3), (1, 2)]).unwrap();
+    let g = f.replace_levels(&[(0, 3), (1, 2)]);
     assert_eq!(g, m.ithvar(3).and(&m.ithvar(2).not()));
 }
 
 #[test]
-fn replace_rejects_overlapping_nonmonotone_target() {
+fn replace_swaps_nonmonotone_target_in_support() {
     let m = mgr4();
-    // Swap 0 and 1: non-monotone and target in support.
+    // Swap 0 and 1: non-monotone and every target in the support.
     let f = m.ithvar(0).and(&m.ithvar(1).not());
-    assert!(f.try_replace_levels(&[(0, 1), (1, 0)]).is_err());
+    let g = f.replace_levels(&[(0, 1), (1, 0)]);
+    assert_eq!(g, m.ithvar(1).and(&m.ithvar(0).not()));
 }
 
 #[test]
 fn replace_identity_and_dead_pairs() {
     let m = mgr4();
     let f = m.ithvar(1);
-    assert_eq!(f.try_replace_levels(&[]).unwrap(), f);
-    assert_eq!(f.try_replace_levels(&[(2, 3)]).unwrap(), f);
-    assert_eq!(f.try_replace_levels(&[(1, 1)]).unwrap(), f);
+    assert_eq!(f.replace_levels(&[]), f);
+    assert_eq!(f.replace_levels(&[(2, 3)]), f);
+    assert_eq!(f.replace_levels(&[(1, 1)]), f);
+}
+
+/// One [`replace_renames_tuple_columns`] case: a relation over domains
+/// `cols` renamed by `pairs` must decode over `out` to the input tuples
+/// passed through `map` (which drops a tuple by returning `None`).
+struct RenameCase {
+    name: &'static str,
+    cols: &'static [usize],
+    pairs: &'static [(usize, usize)],
+    out: &'static [usize],
+    map: fn(&[u64]) -> Option<Vec<u64>>,
+}
+
+/// Whole-domain renames over three interleaved domains, so every swap
+/// and cycle is non-monotone.
+#[test]
+fn replace_renames_tuple_columns() {
+    let case = |name, cols, pairs, out, map| RenameCase {
+        name,
+        cols,
+        pairs,
+        out,
+        map,
+    };
+    let cases = [
+        case("move", &[0], &[(0, 1)], &[1], |t| Some(vec![t[0]])),
+        case("swap", &[0, 1], &[(0, 1), (1, 0)], &[0, 1], |t| {
+            Some(vec![t[1], t[0]])
+        }),
+        case(
+            "3-cycle",
+            &[0, 1, 2],
+            &[(0, 1), (1, 2), (2, 0)],
+            &[0, 1, 2],
+            |t| Some(vec![t[2], t[0], t[1]]),
+        ),
+        case("chain", &[0, 1], &[(0, 1), (1, 2)], &[1, 2], |t| {
+            Some(vec![t[0], t[1]])
+        }),
+        case("no-op", &[0, 1], &[], &[0, 1], |t| Some(t.to_vec())),
+        case("identity pair", &[0, 1], &[(0, 0)], &[0, 1], |t| {
+            Some(t.to_vec())
+        }),
+        // Non-injective: both columns land on A2, so only the tuples whose
+        // two values agree survive.
+        case("merge", &[0, 1], &[(0, 2), (1, 2)], &[2], |t| {
+            (t[0] == t[1]).then(|| vec![t[0]])
+        }),
+    ];
+    let m = BddManager::with_domains(
+        &[
+            DomainSpec::new("A0", 8),
+            DomainSpec::new("A1", 8),
+            DomainSpec::new("A2", 8),
+        ],
+        &OrderSpec::parse("A0xA1xA2").unwrap(),
+    )
+    .unwrap();
+    let doms: Vec<_> = ["A0", "A1", "A2"]
+        .iter()
+        .map(|n| m.domain(n).unwrap())
+        .collect();
+    let rows: [[u64; 3]; 5] = [[1, 2, 3], [4, 5, 6], [7, 0, 2], [3, 3, 5], [5, 1, 1]];
+    for RenameCase {
+        name,
+        cols,
+        pairs,
+        out,
+        map,
+    } in cases
+    {
+        let input: Vec<Vec<u64>> = rows.iter().map(|r| r[..cols.len()].to_vec()).collect();
+        let col_doms: Vec<_> = cols.iter().map(|&c| doms[c]).collect();
+        let f = m.tuple_set(&col_doms, &input);
+        let dom_pairs: Vec<_> = pairs.iter().map(|&(a, b)| (doms[a], doms[b])).collect();
+        let out_doms: Vec<_> = out.iter().map(|&c| doms[c]).collect();
+        let mut got = f.replace(&dom_pairs).tuples(&out_doms);
+        got.sort();
+        let mut want: Vec<Vec<u64>> = input.iter().filter_map(|t| map(t)).collect();
+        want.sort();
+        want.dedup();
+        assert_eq!(got, want, "{name}");
+    }
 }
 
 #[test]
@@ -204,6 +288,24 @@ fn reachable_peak_is_the_live_count_after_a_collection() {
     assert!(s.peak_live_nodes >= before.live_nodes);
     assert!(s.peak_reachable_nodes < before.live_nodes);
     assert!(!keep.is_zero());
+}
+
+#[test]
+fn sampling_reachable_counts_in_use_nodes_without_collecting() {
+    let m = BddManager::with_vars(12);
+    let keep = m.ithvar(0).and(&m.ithvar(1)).or(&m.ithvar(5));
+    drop(m.ithvar(7).xor(&m.ithvar(9)));
+    let before = m.stats();
+    assert_eq!(m.sample_reachable(), keep.node_count());
+    let s = m.stats();
+    // Marked but not swept: the garbage is still in the table.
+    assert_eq!(
+        (s.gc_runs, s.live_nodes),
+        (before.gc_runs, before.live_nodes)
+    );
+    assert!(s.live_nodes > keep.node_count());
+    assert_eq!(s.peak_reachable_nodes, keep.node_count());
+    m.check_invariants().unwrap();
 }
 
 trait StatsExt {

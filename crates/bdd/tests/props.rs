@@ -225,16 +225,12 @@ fn replace_shift_matches_oracle() {
         let m = BddManager::with_vars(2 * NVARS);
         let f = build(&m, e);
         let pairs: Vec<(u32, u32)> = (0..NVARS).map(|v| (v, v + NVARS)).collect();
-        let g = f.try_replace_levels(&pairs).unwrap();
+        let g = f.replace_levels(&pairs);
         // g over shifted vars must have the same satcount.
         eq_or(g.satcount() as u64, f.satcount() as u64, "shift satcount")?;
         // And shifting back is the identity.
         let back: Vec<(u32, u32)> = pairs.iter().map(|&(a, b)| (b, a)).collect();
-        eq_or(
-            g.try_replace_levels(&back).unwrap() == f,
-            true,
-            "shift round-trip",
-        )
+        eq_or(g.replace_levels(&back) == f, true, "shift round-trip")
     });
 }
 
@@ -247,27 +243,128 @@ fn fused_replace_relprod_matches_composed() {
         &gen,
         |((a, b), var)| {
             // f lives on vars 0..NVARS and is renamed up by NVARS (always
-            // monotone, so the fused kernel must engage); g spans the full
+            // monotone, so the fused kernel engages); g spans the full
             // 2*NVARS space via two copies joined at shifted levels.
             let m = BddManager::with_vars(2 * NVARS);
             let f = build(&m, a);
             let pairs: Vec<(u32, u32)> = (0..NVARS).map(|v| (v, v + NVARS)).collect();
-            let g = build(&m, b).and(
-                &build(&m, a)
-                    .try_replace_levels(&pairs)
-                    .unwrap()
-                    .or(&build(&m, b)),
-            );
+            let g = build(&m, b).and(&build(&m, a).replace_levels(&pairs).or(&build(&m, b)));
             let vars = [*var];
-            let fused = f
-                .fused_replace_relprod_levels(&g, &pairs, &vars)
-                .expect("monotone shift must take the fused kernel");
-            let composed = f.try_replace_levels(&pairs).unwrap().relprod(&g, &vars);
+            let fused = f.replace_relprod(&g, &pairs, &vars);
+            let composed = f.replace_levels(&pairs).relprod(&g, &vars);
             eq_or(fused == composed, true, "fused == replace;relprod")?;
             eq_or(
                 fused.satcount() as u64,
                 composed.satcount() as u64,
                 "fused satcount",
+            )
+        },
+    );
+}
+
+/// A random relation over `D0, D1, D2` (4 domains of 8 values in one of a
+/// few orders), a rename of some of the four domains and a second
+/// relation over `D1, D3` to join the renamed one with.
+#[derive(Debug, Clone)]
+struct RenameCase {
+    order: &'static str,
+    rows: Vec<Vec<u64>>,
+    /// `(from, to)` domain indices, sources distinct: a permutation (swaps,
+    /// cycles) or a partial map that may merge two sources.
+    pairs: Vec<(usize, usize)>,
+    other: Vec<Vec<u64>>,
+    quant: Vec<usize>,
+}
+
+fn arb_rename_case() -> Gen<RenameCase> {
+    Gen::new(|rng| {
+        let order = *rng.choose(&["D0xD1xD2xD3", "D0_D1_D2_D3", "D3_D1xD0_D2"]);
+        let row = |rng: &mut Rng, n: usize| (0..n).map(|_| rng.below(8)).collect::<Vec<u64>>();
+        let rows = (0..rng.below(12)).map(|_| row(rng, 3)).collect();
+        let other = (0..rng.below(12)).map(|_| row(rng, 2)).collect();
+        let mut sources: Vec<usize> = (0..4).collect();
+        rng.shuffle(&mut sources);
+        let pairs = if rng.gen_bool(0.5) {
+            let mut targets = sources.clone();
+            rng.shuffle(&mut targets);
+            sources.into_iter().zip(targets).collect()
+        } else {
+            let n = rng.gen_range(1..5usize);
+            sources[..n]
+                .iter()
+                .map(|&s| (s, rng.gen_range(0..4usize)))
+                .collect()
+        };
+        let quant = (0..4).filter(|_| rng.gen_bool(0.4)).collect();
+        RenameCase {
+            order,
+            rows,
+            pairs,
+            other,
+            quant,
+        }
+    })
+}
+
+/// The tuple-level meaning of a rename: `rows` over domains `cols`
+/// renamed by `pairs` is the relation over the target domains (sorted)
+/// whose tuples, read back through the pairs, lie in `rows`. A row whose
+/// merged columns disagree has no image.
+fn renamed_rows(
+    rows: &[Vec<u64>],
+    cols: &[usize],
+    pairs: &[(usize, usize)],
+) -> (Vec<usize>, Vec<Vec<u64>>) {
+    let dst: Vec<usize> = cols
+        .iter()
+        .map(|&c| pairs.iter().find(|p| p.0 == c).map_or(c, |p| p.1))
+        .collect();
+    let mut out = dst.clone();
+    out.sort_unstable();
+    out.dedup();
+    let mut image: Vec<Vec<u64>> = rows
+        .iter()
+        .filter_map(|r| {
+            let mut u = vec![None; out.len()];
+            for (&d, &v) in dst.iter().zip(r) {
+                let k = out.binary_search(&d).unwrap();
+                if *u[k].get_or_insert(v) != v {
+                    return None;
+                }
+            }
+            Some(u.into_iter().map(Option::unwrap).collect())
+        })
+        .collect();
+    image.sort();
+    image.dedup();
+    (out, image)
+}
+
+#[test]
+fn replace_matches_tuple_renaming() {
+    check(
+        "replace_matches_tuple_renaming",
+        CASES,
+        &arb_rename_case(),
+        |c| {
+            let names = ["D0", "D1", "D2", "D3"];
+            let specs: Vec<DomainSpec> = names.iter().map(|n| DomainSpec::new(*n, 8)).collect();
+            let m = BddManager::with_domains(&specs, &OrderSpec::parse(c.order).unwrap()).unwrap();
+            let d: Vec<_> = names.iter().map(|n| m.domain(n).unwrap()).collect();
+            let f = m.tuple_set(&d[..3], &c.rows);
+            let pairs: Vec<_> = c.pairs.iter().map(|&(a, b)| (d[a], d[b])).collect();
+            let renamed = f.replace(&pairs);
+            let (out, want) = renamed_rows(&c.rows, &[0, 1, 2], &c.pairs);
+            let out_doms: Vec<_> = out.iter().map(|&i| d[i]).collect();
+            let mut got = renamed.tuples(&out_doms);
+            got.sort();
+            eq_or(got, want, "replace vs renamed tuples")?;
+            let g = m.tuple_set(&[d[1], d[3]], &c.other);
+            let quant: Vec<_> = c.quant.iter().map(|&i| d[i]).collect();
+            eq_or(
+                f.replace_relprod_domains(&g, &pairs, &quant),
+                renamed.relprod_domains(&g, &quant),
+                "replace_relprod_domains vs replace;relprod_domains",
             )
         },
     );

@@ -90,7 +90,8 @@ pub struct SolveStats {
     /// Peak live BDD nodes observed ([`whale_bdd::BddStats::peak_live_nodes`]:
     /// sampled before a collection marks, so garbage counts too).
     pub peak_live_nodes: usize,
-    /// Most BDD nodes any collection during the solve marked reachable
+    /// Most BDD nodes any collection during the solve, or the marking
+    /// pass at its end, found reachable
     /// ([`whale_bdd::BddStats::peak_reachable_nodes`]).
     pub peak_reachable_nodes: usize,
     /// Dynamic reordering passes run during this solve (see
@@ -192,7 +193,7 @@ pub struct Engine {
     program: Program,
     options: EngineOptions,
     mgr: BddManager,
-    /// Physical instances per logical domain (scratch excluded).
+    /// Physical instances per logical domain.
     phys: Vec<Vec<DomainId>>,
     rel: Vec<RelationState>,
     name_maps: HashMap<usize, HashMap<String, u64>>,
@@ -255,14 +256,13 @@ impl Engine {
     /// [`DatalogError::Bdd`] if the ordering string references unknown
     /// domains or omits declared ones.
     pub fn with_options(program: Program, options: EngineOptions) -> Result<Self, DatalogError> {
-        // Physical domain specs: N instances plus one scratch per logical
-        // domain, all of the logical domain's size.
+        // Physical domain specs: N instances per logical domain, all of
+        // the logical domain's size.
         let mut specs = Vec::new();
         for (d, decl) in program.domains.iter().enumerate() {
             for i in 0..program.instances[d] {
                 specs.push(DomainSpec::new(format!("{}{}", decl.name, i), decl.size));
             }
-            specs.push(DomainSpec::new(format!("{}__s", decl.name), decl.size));
         }
         let order_tokens: Vec<Vec<String>> = match options.order.as_deref() {
             None => program
@@ -280,25 +280,22 @@ impl Engine {
         // the operation caches mid-fixpoint.
         let mgr = BddManager::with_domains_and_capacity(&specs, &order, 1 << 20)?;
 
-        let mut phys = Vec::with_capacity(program.domains.len());
-        let mut scratch_map = HashMap::new();
-        for (d, decl) in program.domains.iter().enumerate() {
-            let scratch = mgr
-                .domain(&format!("{}__s", decl.name))
-                .expect("scratch domain declared");
-            let mut instances = Vec::new();
-            for i in 0..program.instances[d] {
-                let id = mgr
-                    .domain(&format!("{}{}", decl.name, i))
-                    .expect("instance declared");
-                instances.push(id);
-                scratch_map.insert(id, scratch);
-            }
-            phys.push(instances);
-        }
+        let phys: Vec<Vec<DomainId>> = program
+            .domains
+            .iter()
+            .enumerate()
+            .map(|(d, decl)| {
+                (0..program.instances[d])
+                    .map(|i| {
+                        mgr.domain(&format!("{}{}", decl.name, i))
+                            .expect("instance declared")
+                    })
+                    .collect()
+            })
+            .collect();
 
         let rel = relation_states(&program, &phys, &mgr);
-        let eval = RuleEval::new(mgr.clone(), scratch_map, options.rel_cache);
+        let eval = RuleEval::new(mgr.clone(), options.rel_cache);
         Ok(Engine {
             program,
             options,
@@ -894,6 +891,9 @@ impl Engine {
             self.run_strata(&prep, &all, Start::Base, &mut stats);
         }
 
+        // A solve that never collects would otherwise report only the
+        // base facts the opening collection kept.
+        self.mgr.sample_reachable();
         let bdd_stats = self.mgr.stats();
         stats.peak_live_nodes = bdd_stats.peak_live_nodes;
         stats.peak_reachable_nodes = bdd_stats.peak_reachable_nodes;
@@ -1429,11 +1429,9 @@ fn relation_states(
 fn expand_order(program: &Program, order: Option<&str>) -> Result<Vec<Vec<String>>, DatalogError> {
     let expand_logical = |d: usize| -> Vec<String> {
         let name = &program.domains[d].name;
-        let mut v: Vec<String> = (0..program.instances[d])
+        (0..program.instances[d])
             .map(|i| format!("{name}{i}"))
-            .collect();
-        v.push(format!("{name}__s"));
-        v
+            .collect()
     };
     let Some(order) = order else {
         return Ok((0..program.domains.len()).map(expand_logical).collect());
@@ -1476,10 +1474,6 @@ fn expand_order(program: &Program, order: Option<&str>) -> Result<Vec<Vec<String
                     return Err(unknown());
                 }
                 members.push(token.clone());
-                if ix == 0 {
-                    // The scratch instance rides with instance 0.
-                    members.push(format!("{base}__s"));
-                }
             }
         }
         groups.push(members);

@@ -1,10 +1,10 @@
 //! Rule evaluation against one BDD manager.
 //!
 //! [`RuleEval`] holds exactly the state a rule application touches — the
-//! manager, the scratch-instance map for rename cycles, the memoize flag,
-//! and the interned memo-tag table — and none of the global solve
-//! state (relation values, strata bookkeeping, statistics), which stays
-//! with the `Engine` that orchestrates the fixpoint.
+//! manager, the memoize flag and the interned memo-tag table — and none
+//! of the global solve state (relation values, strata bookkeeping,
+//! statistics), which stays with the `Engine` that orchestrates the
+//! fixpoint.
 //!
 //! All sources are passed in explicitly: positive atoms through `srcs`
 //! (parallel to `plan.positive`; the plan fixes the join order) and
@@ -13,7 +13,6 @@
 
 use crate::ast::ConstraintOp;
 use crate::plan::{AtomPlan, ConstraintPlan, Operand, RulePlan};
-use crate::relation::move_attrs;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use whale_bdd::{Bdd, BddManager, DomainId};
@@ -46,8 +45,6 @@ enum MemoOp {
 /// Evaluates rule plans against one BDD manager. See the module docs.
 pub(crate) struct RuleEval {
     mgr: BddManager,
-    /// Scratch instance for every physical instance's logical domain.
-    scratch_map: HashMap<DomainId, DomainId>,
     rel_cache: bool,
     /// Interned tags of relation-level memo operations (see [`MemoOp`]).
     /// Content-keyed and evaluator-lived, so a tag means the same operation
@@ -59,14 +56,9 @@ pub(crate) struct RuleEval {
 }
 
 impl RuleEval {
-    pub(crate) fn new(
-        mgr: BddManager,
-        scratch_map: HashMap<DomainId, DomainId>,
-        rel_cache: bool,
-    ) -> Self {
+    pub(crate) fn new(mgr: BddManager, rel_cache: bool) -> Self {
         RuleEval {
             mgr,
-            scratch_map,
             rel_cache,
             memo_tags: RefCell::new(HashMap::new()),
         }
@@ -130,7 +122,7 @@ impl RuleEval {
         };
         let mut b = self.eval_atom_prerename(ap, src);
         if !b.is_zero() && !ap.renames.is_empty() {
-            b = move_attrs(&b, &ap.renames, &ap.occupied, &self.scratch_map);
+            b = b.replace(&ap.renames);
         }
         if let Some(tag) = tag {
             self.mgr.memo_put(src, None, tag, &b);
@@ -169,20 +161,7 @@ impl RuleEval {
             None
         };
         let res = match pending {
-            Some(a0) => {
-                // The kernel renames the held-back operand on the fly when
-                // the level map is monotone; otherwise fall back to the
-                // two-pass rename-then-join (`move_attrs` also handles
-                // rename cycles through the scratch instance).
-                match joined.fused_replace_relprod_domains(atom_bdd, &a0.renames, quant) {
-                    Some(j) => j,
-                    None => {
-                        let renamed =
-                            move_attrs(joined, &a0.renames, &a0.occupied, &self.scratch_map);
-                        renamed.relprod_domains(atom_bdd, quant)
-                    }
-                }
-            }
+            Some(a0) => joined.replace_relprod_domains(atom_bdd, &a0.renames, quant),
             None => joined.relprod_domains(atom_bdd, quant),
         };
         if let Some(tag) = tag {

@@ -41,8 +41,6 @@ pub(crate) struct AtomPlan {
     pub project: Vec<DomainId>,
     /// Renames from attribute physical domains to variable targets.
     pub renames: Vec<(DomainId, DomainId)>,
-    /// Physical domains occupied after projection (for the rename engine).
-    pub occupied: Vec<DomainId>,
     /// Distinct variables bound (positive) or constrained (negative).
     pub vars: Vec<String>,
 }
@@ -107,7 +105,7 @@ pub(crate) fn resolve_name(
 /// Everything plan construction needs from the engine.
 pub(crate) struct PlanContext<'a> {
     pub program: &'a Program,
-    /// Physical instances per logical domain (excluding scratch).
+    /// Physical instances per logical domain.
     pub phys: &'a [Vec<DomainId>],
     /// Physical domain of each attribute, per relation.
     pub rel_attr_phys: &'a [Vec<DomainId>],
@@ -358,11 +356,6 @@ impl<'a> PlanContext<'a> {
                 }
             }
         }
-        let occupied: Vec<DomainId> = attr_phys
-            .iter()
-            .copied()
-            .filter(|p| !project.contains(p))
-            .collect();
         let _ = var_dom; // typing already validated
         Ok(AtomPlan {
             rel: rel_ix,
@@ -370,7 +363,6 @@ impl<'a> PlanContext<'a> {
             eqs,
             project,
             renames: renames.into_iter().filter(|&(f, t)| f != t).collect(),
-            occupied,
             vars,
         })
     }

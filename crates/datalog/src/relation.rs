@@ -1,67 +1,12 @@
-//! BDD-backed relations and the attribute-rename machinery.
+//! BDD-backed relations.
 //!
 //! Every relation stores its tuples as a BDD over one *physical domain*
 //! per attribute (the paper's `V1`, `V2`, `H1`, ... instances). Rule
-//! evaluation moves attributes between physical domains with BDD `replace`
-//! operations; when the desired moves form a permutation cycle the cycle is
-//! broken through a per-logical-domain scratch instance.
+//! evaluation moves attributes between physical domains with one BDD
+//! `replace` per atom; the kernel's rename is correct for every pairing,
+//! permutation cycles included, so no domain is set aside to break them.
 
-use std::collections::{HashMap, HashSet};
 use whale_bdd::{Bdd, DomainId};
-
-/// Moves the function's dependence between physical domains.
-///
-/// `moves` is a list of `(from, to)` physical-domain pairs (an injective
-/// partial map); `occupied_now` lists every physical domain the BDD may
-/// currently depend on (moved or not); `scratch_of` yields the scratch
-/// instance for the logical domain of a physical instance.
-///
-/// Moves are batched so that every `replace` call targets only vacant
-/// domains, which keeps the BDD-level rename sound even when it falls back
-/// to conjoin-and-quantify.
-pub(crate) fn move_attrs(
-    bdd: &Bdd,
-    moves: &[(DomainId, DomainId)],
-    occupied_now: &[DomainId],
-    scratch_of: &HashMap<DomainId, DomainId>,
-) -> Bdd {
-    let mut pending: Vec<(DomainId, DomainId)> =
-        moves.iter().copied().filter(|&(f, t)| f != t).collect();
-    if pending.is_empty() {
-        return bdd.clone();
-    }
-    let mut occupied: HashSet<DomainId> = occupied_now.iter().copied().collect();
-    let mut current = bdd.clone();
-    loop {
-        if pending.is_empty() {
-            return current;
-        }
-        let (ready, blocked): (Vec<_>, Vec<_>) = pending
-            .iter()
-            .copied()
-            .partition(|&(_, t)| !occupied.contains(&t));
-        if !ready.is_empty() {
-            current = current.replace(&ready);
-            for (f, t) in &ready {
-                occupied.remove(f);
-                occupied.insert(*t);
-            }
-            pending = blocked;
-        } else {
-            // Every pending target is occupied: a permutation cycle.
-            // Break it by evacuating one source to its scratch instance.
-            let (from, to) = pending[0];
-            let scratch = *scratch_of
-                .get(&from)
-                .expect("scratch instance registered for every physical domain");
-            debug_assert!(!occupied.contains(&scratch), "scratch domain in use");
-            current = current.replace(&[(from, scratch)]);
-            occupied.remove(&from);
-            occupied.insert(scratch);
-            pending[0] = (scratch, to);
-        }
-    }
-}
 
 /// Runtime state of one declared relation.
 #[derive(Clone)]
@@ -77,104 +22,4 @@ pub(crate) struct RelationState {
     /// derived part is recomputed, the base survives retraction-driven
     /// invalidation of downstream strata.
     pub base: Bdd,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use whale_bdd::{BddManager, DomainSpec, OrderSpec};
-
-    fn setup() -> (BddManager, Vec<DomainId>, HashMap<DomainId, DomainId>) {
-        let mgr = BddManager::with_domains(
-            &[
-                DomainSpec::new("A0", 64),
-                DomainSpec::new("A1", 64),
-                DomainSpec::new("A2", 64),
-                DomainSpec::new("As", 64),
-            ],
-            &OrderSpec::parse("A0xA1xA2xAs").unwrap(),
-        )
-        .unwrap();
-        let ids: Vec<DomainId> = ["A0", "A1", "A2", "As"]
-            .iter()
-            .map(|n| mgr.domain(n).unwrap())
-            .collect();
-        let scratch: HashMap<DomainId, DomainId> = ids.iter().map(|&d| (d, ids[3])).collect();
-        (mgr, ids, scratch)
-    }
-
-    #[test]
-    fn simple_move() {
-        let (mgr, ids, scratch) = setup();
-        let f = mgr.domain_range(ids[0], 5, 10);
-        let g = move_attrs(&f, &[(ids[0], ids[1])], &[ids[0]], &scratch);
-        assert_eq!(g, mgr.domain_range(ids[1], 5, 10));
-    }
-
-    #[test]
-    fn swap_through_scratch() {
-        let (mgr, ids, scratch) = setup();
-        // f = (A0 in 1..3) ∧ (A1 = 9); swap A0 and A1.
-        let f = mgr
-            .domain_range(ids[0], 1, 3)
-            .and(&mgr.domain_const(ids[1], 9));
-        let g = move_attrs(
-            &f,
-            &[(ids[0], ids[1]), (ids[1], ids[0])],
-            &[ids[0], ids[1]],
-            &scratch,
-        );
-        let expected = mgr
-            .domain_range(ids[1], 1, 3)
-            .and(&mgr.domain_const(ids[0], 9));
-        assert_eq!(g, expected);
-    }
-
-    #[test]
-    fn three_cycle() {
-        let (mgr, ids, scratch) = setup();
-        let f = mgr
-            .domain_const(ids[0], 1)
-            .and(&mgr.domain_const(ids[1], 2))
-            .and(&mgr.domain_const(ids[2], 3));
-        // 0 -> 1 -> 2 -> 0
-        let g = move_attrs(
-            &f,
-            &[(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[0])],
-            &[ids[0], ids[1], ids[2]],
-            &scratch,
-        );
-        let expected = mgr
-            .domain_const(ids[1], 1)
-            .and(&mgr.domain_const(ids[2], 2))
-            .and(&mgr.domain_const(ids[0], 3));
-        assert_eq!(g, expected);
-    }
-
-    #[test]
-    fn chain_resolves_without_scratch() {
-        let (mgr, ids, scratch) = setup();
-        // 0 -> 1 while 1 -> 2: applying 1->2 first frees 1.
-        let f = mgr
-            .domain_const(ids[0], 7)
-            .and(&mgr.domain_const(ids[1], 8));
-        let g = move_attrs(
-            &f,
-            &[(ids[0], ids[1]), (ids[1], ids[2])],
-            &[ids[0], ids[1]],
-            &scratch,
-        );
-        let expected = mgr
-            .domain_const(ids[1], 7)
-            .and(&mgr.domain_const(ids[2], 8));
-        assert_eq!(g, expected);
-    }
-
-    #[test]
-    fn noop_moves() {
-        let (mgr, ids, scratch) = setup();
-        let f = mgr.domain_range(ids[0], 0, 63);
-        assert_eq!(move_attrs(&f, &[], &[ids[0]], &scratch), f);
-        assert_eq!(move_attrs(&f, &[(ids[0], ids[0])], &[ids[0]], &scratch), f);
-    }
 }

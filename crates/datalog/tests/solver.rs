@@ -127,10 +127,9 @@ fn seminaive_and_naive_agree() {
 }
 
 /// The delta of `t` joins second, where the rule puts it, and its rename
-/// is a swap of the two `V` instances: not monotone, so the fused
-/// rename-join declines and the two-pass fallback renames the delta
-/// through the scratch instance. Semi-naive must still match naive and
-/// the hand-computed fixpoint.
+/// is a swap of the two `V` instances: not monotone, so the kernel's
+/// rename-join renames the delta first and then joins. Semi-naive must
+/// still match naive and the hand-computed fixpoint.
 #[test]
 fn delta_joining_second_through_the_rename_fallback_matches_naive() {
     const SWAP: &str = r#"
@@ -472,7 +471,7 @@ b(h) :- a(h), a("nope").
 #[test]
 fn swap_rename_in_rule() {
     // Head reverses the attribute order of the body relation: forces a
-    // cyclic rename through scratch.
+    // cyclic rename (a swap of the two `V` instances).
     let src = r#"
 DOMAINS
 V 16

@@ -72,6 +72,7 @@ TESTKIT_BENCH_ITERS=3 TESTKIT_BENCH_WARMUP=1 \
 # while matching a from-scratch solve byte for byte — the `whale serve`
 # performance contract.
 ./target/release/serve_probe >> results/bench_smoke.jsonl
+echo "ci.sh: smoke bench written to results/bench_smoke.jsonl"
 # Evaluation gate: Figures 3-6 on two rows at scale 1/64, wall times
 # stripped, must match the committed counters byte for byte. A change
 # that moves a count on purpose regenerates the file with the same
@@ -93,14 +94,27 @@ mkdir "$tc_dir/naive"
 ./target/release/bddbddb "$tc_dir/tc.datalog" --facts "$tc_dir" --out "$tc_dir/naive" --naive > /dev/null 2>&1
 cmp "$tc_dir/path.tuples" "$tc_dir/naive/path.tuples"
 # The same closure right-recursive: the delta of `path` joins second,
-# where the rule puts it, through the rename fallback (its rename is not
-# monotone). It must write the same tuples as a `--naive` run.
+# where the rule puts it, and its rename is not monotone, so the kernel
+# renames it before the join. It must write the same tuples as a
+# `--naive` run.
 printf 'DOMAINS\nV 64\nRELATIONS\ninput edge (s : V, d : V)\noutput path (s : V, d : V)\nRULES\npath(x,y) :- edge(x,y).\npath(x,z) :- edge(x,y), path(y,z).\n' > "$tc_dir/rtc.datalog"
 mkdir "$tc_dir/right" "$tc_dir/right_naive"
 ./target/release/bddbddb "$tc_dir/rtc.datalog" --facts "$tc_dir" --out "$tc_dir/right" > /dev/null 2>&1
 ./target/release/bddbddb "$tc_dir/rtc.datalog" --facts "$tc_dir" --out "$tc_dir/right_naive" --naive > /dev/null 2>&1
 cmp "$tc_dir/right/path.tuples" "$tc_dir/right_naive/path.tuples"
 cmp "$tc_dir/path.tuples" "$tc_dir/right/path.tuples"
+# Renames the kernel must get right with every target in the support: a
+# swap of the two `V` instances (`sym`) and a 3-cycle over three (`rot`).
+# Both must match the hand-computed tuples (sorted: output follows the
+# BDD's order) and a `--naive` run byte for byte.
+printf 'DOMAINS\nV 64\nRELATIONS\ninput edge (s : V, d : V)\noutput sym (s : V, d : V)\noutput tri (a : V, b : V, c : V)\noutput rot (a : V, b : V, c : V)\nRULES\nsym(y,x) :- edge(x,y).\ntri(x,y,z) :- edge(x,y), edge(y,z).\nrot(z,x,y) :- tri(x,y,z).\n' > "$tc_dir/rename.datalog"
+mkdir "$tc_dir/rename" "$tc_dir/rename_naive"
+./target/release/bddbddb "$tc_dir/rename.datalog" --facts "$tc_dir" --out "$tc_dir/rename" > /dev/null 2>&1
+./target/release/bddbddb "$tc_dir/rename.datalog" --facts "$tc_dir" --out "$tc_dir/rename_naive" --naive > /dev/null 2>&1
+printf '0 3\n1 0\n2 1\n3 2\n' | cmp - <(sort "$tc_dir/rename/sym.tuples")
+printf '0 2 3\n1 3 0\n2 0 1\n3 1 2\n' | cmp - <(sort "$tc_dir/rename/rot.tuples")
+cmp "$tc_dir/rename/sym.tuples" "$tc_dir/rename_naive/sym.tuples"
+cmp "$tc_dir/rename/rot.tuples" "$tc_dir/rename_naive/rot.tuples"
 # A `.bdd` cache file over the wrong attribute domains (a two-column
 # `path` dump filed as the one-column `a`, same variable count) must end
 # in a typed bad-fact error (exit 1), not a decode panic (exit 101).
@@ -113,7 +127,7 @@ bad_status=0
 [ "$bad_status" -eq 1 ]
 grep -q 'bad fact' "$tc_dir/bad.txt"
 rm -rf "$tc_dir"
-echo "ci.sh: smoke bench written to results/bench_smoke.jsonl"
+echo "ci.sh: bddbddb smoke OK"
 
 # A stdio daemon smoke through the whale CLI: a query batch, one
 # malformed request (must be answered in-band, not kill the daemon), a

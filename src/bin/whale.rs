@@ -515,49 +515,38 @@ fn run_analyze(cli: &Cli, facts: &Facts) -> Result<(), CliError> {
             result.relation,
             result.tuples.len()
         );
-        let sig: Vec<String> = engine
-            .program()
-            .relations()
-            .iter()
-            .find(|r| r.name == result.relation)
-            .map(|r| r.attrs.iter().map(|(_, d)| d.clone()).collect())
-            .unwrap_or_default();
-        for t in &result.tuples {
-            let row: Vec<String> = t
-                .iter()
-                .zip(&sig)
-                .map(|(&v, dom)| {
-                    engine
-                        .name_of(dom, v)
-                        .map(str::to_string)
-                        .unwrap_or_else(|| v.to_string())
-                })
-                .collect();
-            println!("  ({})", row.join(", "));
-        }
+        print_tuples(&engine, &result.relation, &result.tuples);
     }
     for rel in &cli.prints {
         println!("\n{rel}:");
-        let sig: Vec<String> = engine
-            .program()
-            .relations()
-            .iter()
-            .find(|r| &r.name == rel)
-            .map(|r| r.attrs.iter().map(|(_, d)| d.clone()).collect())
-            .ok_or_else(|| CliError::Run(format!("unknown relation `{rel}`").into()))?;
-        for t in engine.relation_tuples(rel)? {
-            let row: Vec<String> = t
-                .iter()
-                .zip(&sig)
-                .map(|(&v, dom)| {
-                    engine
-                        .name_of(dom, v)
-                        .map(str::to_string)
-                        .unwrap_or_else(|| v.to_string())
-                })
-                .collect();
-            println!("  ({})", row.join(", "));
-        }
+        let tuples = engine
+            .relation_tuples(rel)
+            .map_err(|_| CliError::Run(format!("unknown relation `{rel}`").into()))?;
+        print_tuples(&engine, rel, &tuples);
     }
     Ok(())
+}
+
+/// Prints `tuples` of the declared relation `relation`, one per line,
+/// each value by its name when the program names it.
+fn print_tuples(engine: &Engine, relation: &str, tuples: &[Vec<u64>]) {
+    let decl = engine
+        .program()
+        .relations()
+        .iter()
+        .find(|r| r.name == relation)
+        .expect("tuples of a declared relation");
+    for t in tuples {
+        let row: Vec<String> = t
+            .iter()
+            .zip(&decl.attrs)
+            .map(|(&v, (_, dom))| {
+                engine
+                    .name_of(dom, v)
+                    .map(str::to_string)
+                    .unwrap_or_else(|| v.to_string())
+            })
+            .collect();
+        println!("  ({})", row.join(", "));
+    }
 }
