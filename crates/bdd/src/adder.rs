@@ -12,8 +12,7 @@
 //! bits below it. Domains are laid out most significant bit first, which
 //! makes each step O(1) under interleaved layouts instead of pushing a new
 //! bit under an already built sub-BDD. It is still built with apply
-//! operations, so the result is correct under any variable order,
-//! including after sifting.
+//! operations, so the result is correct under any variable order.
 
 use crate::store::{Store, ONE, ZERO};
 use crate::Level;

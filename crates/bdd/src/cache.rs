@@ -131,8 +131,7 @@ impl Cache {
         set[0] = Entry { a, b, c, res };
     }
 
-    /// Drops every entry. Writes the whole table; runs only when every
-    /// memoized result may be wrong (after reordering) or on request.
+    /// Drops every entry. Writes the whole table; runs only on request.
     pub(crate) fn clear(&mut self) {
         self.sets.fill(EMPTY_SET);
     }
@@ -173,7 +172,7 @@ impl Cache {
     /// Sanitizer audit: every non-empty entry must name only live nodes,
     /// under the same key layout [`Cache::revalidate`] uses; `fault` says
     /// what is wrong with any other node. A violation means an entry
-    /// survived a GC/reorder that freed one of its nodes — a stale hit
+    /// survived a GC that freed one of its nodes — a stale hit
     /// waiting to happen once the slot is reallocated.
     pub(crate) fn check(
         &self,

@@ -30,6 +30,15 @@ pub enum BddError {
         /// Second domain name.
         right: String,
     },
+    /// A `.bdd` file was written by a manager with a different number of
+    /// variables: it belongs to another domain layout (another program,
+    /// domain sizes or order) and cannot be decoded here.
+    VarCountMismatch {
+        /// Variables the file was written with.
+        file: u32,
+        /// Variables of the manager reading it.
+        manager: u32,
+    },
 }
 
 impl fmt::Display for BddError {
@@ -55,6 +64,11 @@ impl fmt::Display for BddError {
             BddError::BitWidthMismatch { left, right } => write!(
                 f,
                 "domains `{left}` and `{right}` have different bit widths"
+            ),
+            BddError::VarCountMismatch { file, manager } => write!(
+                f,
+                "bdd file has {file} variables but this manager has {manager}: \
+                 it was written for another domain layout and should be deleted"
             ),
         }
     }

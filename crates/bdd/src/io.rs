@@ -1,4 +1,4 @@
-//! Serialization of BDDs to a compact, order-portable text format.
+//! Serialization of BDDs to a compact text format.
 //!
 //! The original `bddbddb` cached relations as `.bdd` files between runs;
 //! this module provides the same capability. The format is line-based:
@@ -11,16 +11,17 @@
 //! ```
 //!
 //! Node ids are arbitrary (they are remapped on load); ids `0` and `1`
-//! denote the terminals. Node lines name stable *variables*, and the
-//! `order` line records the writer's level→variable map, so a file written
-//! under one variable order decodes correctly under any other (the reader
-//! rebuilds through ordinary apply operations). Version-1 files, which
-//! predate dynamic reordering, carried levels in the node lines; they are
-//! still accepted, with the numbers read as variables — identical for the
-//! identity orders every version-1 writer had.
+//! denote the terminals. Node lines name *variables*, and the reader
+//! rebuilds each node through `ite` on its variable, so the result is
+//! canonical whatever order the node lines imply. A variable's level is
+//! fixed when its manager is built, so the writer's `order` line is the
+//! identity; files from managers that permuted their levels at run time
+//! carry another permutation there and decode the same way. Version-1
+//! files, which had no `order` line, are still accepted.
 //!
-//! Loading validates the variable count and (for version 2) that the
-//! persisted order is a permutation of the variables.
+//! Loading validates the variable count — a file written for another
+//! domain layout is [`BddError::VarCountMismatch`] — and (for version 2)
+//! that the `order` line is a permutation of the variables.
 
 use crate::manager::{Bdd, BddManager};
 use crate::BddError;
@@ -42,7 +43,7 @@ pub fn write_bdd<W: Write>(f: &Bdd, mut out: W) -> std::io::Result<()> {
         nodes.len(),
         f.root_token()
     )?;
-    let order: Vec<String> = mgr.var_order().iter().map(u32::to_string).collect();
+    let order: Vec<String> = (0..mgr.varcount()).map(|v| v.to_string()).collect();
     writeln!(out, "order {}", order.join(" "))?;
     for (id, var, low, high) in nodes {
         writeln!(out, "{id} {var} {low} {high}")?;
@@ -50,15 +51,14 @@ pub fn write_bdd<W: Write>(f: &Bdd, mut out: W) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Reads a BDD written by [`write_bdd`] into `mgr`, which may use a
-/// different variable order than the writer did.
+/// Reads a BDD written by [`write_bdd`] into `mgr`.
 ///
 /// # Errors
 ///
 /// [`BddError::MalformedOrderSpec`] is reused for malformed input
 /// (including a version-2 `order` line that is not a permutation of the
-/// variables); variable-count mismatches are reported as
-/// [`BddError::BitWidthMismatch`].
+/// variables); a file whose variable count differs from `mgr`'s is
+/// [`BddError::VarCountMismatch`].
 pub fn read_bdd<R: BufRead>(mgr: &BddManager, input: R) -> Result<Bdd, BddError> {
     let malformed = |m: &str| BddError::MalformedOrderSpec(format!("bdd file: {m}"));
     let mut lines = input.lines();
@@ -73,9 +73,9 @@ pub fn read_bdd<R: BufRead>(mgr: &BddManager, input: R) -> Result<Bdd, BddError>
     let version = parts[1];
     let varcount: u32 = parts[2].parse().map_err(|_| malformed("bad varcount"))?;
     if varcount != mgr.varcount() {
-        return Err(BddError::BitWidthMismatch {
-            left: format!("file({varcount} vars)"),
-            right: format!("manager({} vars)", mgr.varcount()),
+        return Err(BddError::VarCountMismatch {
+            file: varcount,
+            manager: mgr.varcount(),
         });
     }
     let count: usize = parts[3].parse().map_err(|_| malformed("bad node count"))?;
@@ -83,8 +83,8 @@ pub fn read_bdd<R: BufRead>(mgr: &BddManager, input: R) -> Result<Bdd, BddError>
 
     if version == "2" {
         // The writer's level→variable map. The node lines carry variables,
-        // so the map is not needed to decode — but it must be a valid
-        // permutation or the file is corrupt.
+        // so the map is not needed to decode, but it must be a permutation
+        // or the file is corrupt.
         let line = lines
             .next()
             .ok_or_else(|| malformed("missing order line"))?
@@ -154,8 +154,7 @@ pub fn read_bdd<R: BufRead>(mgr: &BddManager, input: R) -> Result<Bdd, BddError>
 ///
 /// It carries a relation between managers built from the same domain
 /// layout — e.g. to compare the relations two engines over one program
-/// solved. The dump names stable variables, so both sides may reorder
-/// freely before [`of`](Self::of) and [`restore`](Self::restore).
+/// solved.
 #[derive(Clone, Debug)]
 pub struct BddSnapshot {
     dump: Vec<u8>,
@@ -179,7 +178,7 @@ impl BddSnapshot {
     ///
     /// # Errors
     ///
-    /// [`BddError::BitWidthMismatch`] if `target` has a different variable
+    /// [`BddError::VarCountMismatch`] if `target` has a different variable
     /// count than the snapshot's source manager.
     pub fn restore(&self, target: &BddManager) -> Result<Bdd, BddError> {
         read_bdd(target, self.dump.as_slice())
@@ -241,10 +240,53 @@ mod tests {
         let f = m1.one();
         let mut buf = Vec::new();
         write_bdd(&f, &mut buf).unwrap();
-        assert!(matches!(
-            read_bdd(&m2, buf.as_slice()),
-            Err(BddError::BitWidthMismatch { .. })
-        ));
+        let err = read_bdd(&m2, buf.as_slice()).unwrap_err();
+        assert_eq!(
+            err,
+            BddError::VarCountMismatch {
+                file: 20,
+                manager: 3
+            }
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("20") && msg.contains('3'), "{msg}");
+        assert!(msg.contains("another domain layout"), "{msg}");
+        assert!(msg.contains("deleted"), "{msg}");
+    }
+
+    /// A version-2 dump as a manager that permuted its levels wrote it:
+    /// the `order` line is not the identity and the nodes test `x2`
+    /// above `x1` above `x0`. The node lines name variables, so it
+    /// decodes to the same function under the identity order.
+    #[test]
+    fn permuted_order_line_decodes_to_the_same_function() {
+        let m = BddManager::with_vars(3);
+        let (x0, x1, x2) = (m.ithvar(0), m.ithvar(1), m.ithvar(2));
+        // (x0 ∧ x2) ∨ x1, written under the order x2, x1, x0 (top first).
+        let want = x0.and(&x2).or(&x1);
+        // Top x2: x2=0 gives x1 (node 6), x2=1 gives x1 ∨ x0 (node 7).
+        let dump = "bdd 2 3 4 8\norder 2 1 0\n5 0 0 1\n6 1 0 1\n7 1 5 1\n8 2 6 7\n";
+        let got = read_bdd(&m, dump.as_bytes()).unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn order_line_that_is_not_a_permutation_is_refused() {
+        let m = BddManager::with_vars(3);
+        for order in [
+            "order 0 1 1",
+            "order 0 1",
+            "order 0 1 2 3",
+            "order 0 1 3",
+            "nodes 0 1 2",
+        ] {
+            let dump = format!("bdd 2 3 0 1\n{order}\n");
+            let err = read_bdd(&m, dump.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, BddError::MalformedOrderSpec(_)),
+                "{order}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //! externally referenced nodes plus the kernel's internal recursion stack and
 //! runs only under allocation pressure. Every public operation enters the
 //! kernel through one place, which checks that the operands share a
-//! manager, samples the sanitizer and runs a pending automatic reorder.
+//! manager and samples the sanitizer.
 //!
 //! The operation caches are 4-way set-associative with one 64-byte cache
 //! line per set, so a lookup reads one line; a full set evicts its oldest
@@ -75,13 +75,10 @@
 //! [`BddManager::memo_get`]/[`BddManager::memo_put`] — which the Datalog
 //! engine uses to skip entire relation-level joins across fixpoint rounds.
 //!
-//! The manager supports **in-place dynamic variable reordering**
-//! ([`BddManager::reorder_sift`], plus an opt-in automatic trigger via
-//! [`BddManager::set_auto_reorder`]): Rudell-style sifting over
-//! adjacent-level swaps that rewrite affected nodes in place, so node
-//! indices — and therefore every live [`Bdd`] handle — stay valid while the
-//! order changes under them. Sifting moves each ordering group as one
-//! block, keeping interleaved domains interleaved.
+//! The variable order is fixed when the manager is built, from an
+//! [`OrderSpec`], as in the paper's `bddbddb`, which searches for orders
+//! offline and ships them with each analysis. A variable's number is its
+//! level, so the kernel never translates between the two.
 
 mod adder;
 mod cache;
@@ -97,12 +94,9 @@ pub use cache::CacheStats;
 pub use domain::{DomainId, DomainSpec};
 pub use error::BddError;
 pub use manager::{Bdd, BddManager, BddStats};
-pub use order::{OrderSpec, ReorderStats};
+pub use order::OrderSpec;
 pub use store::NODE_BYTES;
 
-/// A boolean variable, identified by the position it held in the *initial*
-/// order (0 = topmost at construction). Variable numbers are stable: all
-/// API parameters — domain bit lists, quantification sets, rename pairs —
-/// keep meaning the same variable after dynamic reordering moves it to a
-/// different position ([`BddManager::level_of_var`] gives the current one).
+/// A boolean variable, identified by its level: its position in the
+/// order, fixed at construction (0 = topmost).
 pub type Level = u32;

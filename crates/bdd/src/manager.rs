@@ -5,9 +5,9 @@ use crate::cache::{CacheStats, NIL};
 use crate::domain::{
     bits_for, const_rec, eq_rec, range_rec, tuple_set_rec, DomainData, DomainId, DomainSpec,
 };
-use crate::order::{assign_levels_grouped, OrderSpec, ReorderStats};
+use crate::order::{assign_levels_grouped, OrderSpec};
 use crate::sat::{decode_tuple, for_each_sat};
-use crate::store::{Store, AND, DEFAULT_MAX_GROWTH, DIFF, NODE_BYTES, ONE, OR, XOR, ZERO};
+use crate::store::{Store, AND, DIFF, NODE_BYTES, ONE, OR, XOR, ZERO};
 use crate::{BddError, Level};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -54,8 +54,6 @@ pub struct BddStats {
     pub allocated_nodes: usize,
     /// Number of garbage collections run.
     pub gc_runs: usize,
-    /// Number of sifting passes run (manual and automatic).
-    pub reorder_runs: usize,
     /// Counters of the binary-apply cache (and/or/xor/diff/not).
     pub apply_cache: CacheStats,
     /// Counters of the if-then-else cache.
@@ -183,10 +181,6 @@ impl BddManager {
         let levels = assign_levels_grouped(&groups);
         let varcount: u32 = groups.iter().flatten().sum();
         let mut store = Store::new(varcount, capacity);
-        // Each ordering group is one sifting block: reordering moves whole
-        // groups, so interleaved domains stay interleaved.
-        let widths: Vec<u32> = groups.iter().map(|g| g.iter().sum()).collect();
-        store.order.assign_blocks(&widths);
         let mut domains: Vec<Option<DomainData>> = vec![None; specs.len()];
         for (p, &(g, m)) in placement.iter().enumerate() {
             let ix = spec_of_placement[p];
@@ -281,9 +275,9 @@ impl BddManager {
         self.store.borrow().domains[d.0].size
     }
 
-    /// The variables of a domain's bits, least-significant first. These are
-    /// stable identities: dynamic reordering changes where they sit in the
-    /// order ([`BddManager::level_of_var`]), never the numbers themselves.
+    /// The variables of a domain's bits, least-significant first. A
+    /// variable's number is its level: its position in the order, fixed
+    /// when the manager is built.
     pub fn domain_levels(&self, d: DomainId) -> Vec<Level> {
         self.store.borrow().domains[d.0].bits.clone()
     }
@@ -312,9 +306,9 @@ impl BddManager {
     /// and an empty list gives the empty relation.
     ///
     /// Fact loading's bulk constructor: it packs every tuple into a key
-    /// whose bits follow the current variable order, sorts the keys and
-    /// builds the BDD straight from them, with no per-tuple minterms and no
-    /// apply operations.
+    /// whose bits follow the variable order, sorts the keys and builds the
+    /// BDD straight from them, with no per-tuple minterms and no apply
+    /// operations.
     ///
     /// # Panics
     ///
@@ -338,11 +332,7 @@ impl BddManager {
                 s.domains[d.0].name
             );
             let bits = &s.domains[d.0].bits;
-            cols.extend(
-                bits.iter()
-                    .enumerate()
-                    .map(|(sig, &var)| (s.order.level_of(var), attr, sig)),
-            );
+            cols.extend(bits.iter().enumerate().map(|(sig, &var)| (var, attr, sig)));
         }
         cols.sort_unstable();
         let words = cols.len().div_ceil(64);
@@ -486,7 +476,7 @@ impl BddManager {
     /// description of the first violation found.
     ///
     /// This is the kernel sanitizer's core check. It runs automatically —
-    /// sampled at public-operation entry, always after GC and reordering —
+    /// sampled at public-operation entry, always after GC —
     /// when the `sanitize` cargo feature is enabled or `WHALE_SANITIZE=1`
     /// is set (either source can be overridden per manager with
     /// [`BddManager::set_sanitize`]); the automatic runs panic instead of
@@ -523,7 +513,6 @@ impl BddManager {
             peak_reachable_nodes: s.peak_reachable,
             allocated_nodes: s.capacity,
             gc_runs: s.gc_runs,
-            reorder_runs: s.reorder_runs,
             apply_cache,
             ite_cache,
             appex_cache,
@@ -557,8 +546,7 @@ impl BddManager {
     /// applied to `a` (and optionally `b`) in the *client operation cache*
     /// — a whole-operation memo table sharing the kernel caches' lifecycle:
     /// entries naming a node freed by GC are dropped before the slot can
-    /// be reused, and a reordering pass that changes the order drops
-    /// everything. A hit therefore always returns a live handle denoting
+    /// be reused. A hit therefore always returns a live handle denoting
     /// the exact function that was stored.
     ///
     /// `tag` is an opaque key the caller must keep stable for as long as it
@@ -594,62 +582,6 @@ impl BddManager {
         let mut s = self.store.borrow_mut();
         s.peak_live = s.live_count();
         s.peak_reachable = s.peak_live;
-    }
-
-    /// Runs one sifting pass with the default max-growth bound (1.2): every
-    /// ordering group, largest first, is moved as a unit to its locally
-    /// optimal position in the variable order.
-    ///
-    /// Node indices are stable, so every live [`Bdd`] handle remains valid
-    /// and denotes the same function afterwards; only the internal shape
-    /// (and hence node counts) changes. All memoized operation results are
-    /// dropped when the order actually changed.
-    pub fn reorder_sift(&self) -> ReorderStats {
-        self.store.borrow_mut().sift(DEFAULT_MAX_GROWTH)
-    }
-
-    /// [`BddManager::reorder_sift`] with an explicit max-growth factor: a
-    /// sweep direction is abandoned once the table exceeds `max_growth`
-    /// times the best size seen for the block being sifted.
-    pub fn reorder_sift_bounded(&self, max_growth: f64) -> ReorderStats {
-        self.store.borrow_mut().sift(max_growth.max(1.0))
-    }
-
-    /// Enables (`Some(threshold)`) or disables (`None`, the default)
-    /// automatic reordering: when the live node count reaches the threshold
-    /// at a collection, a sifting pass runs at the next operation entry.
-    /// After each automatic pass the threshold is raised to at least twice
-    /// the sifted size, so a table that keeps growing re-sifts at a
-    /// geometric cadence instead of thrashing.
-    pub fn set_auto_reorder(&self, threshold_nodes: Option<usize>) {
-        self.store.borrow_mut().auto_reorder_threshold = threshold_nodes;
-    }
-
-    /// Swaps the variables at positions `level` and `level + 1` of the
-    /// current order, in place. A building block for tests and experiments;
-    /// real reordering should use [`BddManager::reorder_sift`], which
-    /// amortizes the per-call bookkeeping this pays in full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level + 1 >= varcount`.
-    pub fn swap_adjacent_levels(&self, level: Level) {
-        self.store.borrow_mut().swap_levels_once(level);
-    }
-
-    /// The current variable order: the variable number at each level,
-    /// outermost first. Identity until a reorder runs.
-    pub fn var_order(&self) -> Vec<Level> {
-        self.store.borrow().order.level_to_var().to_vec()
-    }
-
-    /// Current position of variable `var` in the order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var >= varcount`.
-    pub fn level_of_var(&self, var: Level) -> Level {
-        self.store.borrow().order.level_of(var)
     }
 
     /// Whether two managers are the same underlying instance.
@@ -718,9 +650,8 @@ impl Bdd {
     }
 
     /// One public operation: checks that every operand in `others`
-    /// belongs to this manager, enters the kernel (sanitizer sample and
-    /// automatic reordering), runs `op` on the store and `self`'s node, and
-    /// wraps the node it returns.
+    /// belongs to this manager, enters the kernel (sanitizer sample), runs
+    /// `op` on the store and `self`'s node, and wraps the node it returns.
     fn public_op(&self, others: &[&Bdd], op: impl FnOnce(&mut Store, u32) -> u32) -> Bdd {
         for other in others {
             self.same_store(other);
@@ -949,8 +880,8 @@ impl Bdd {
     /// `u128::MAX`) — unlike [`Bdd::satcount_domains`], no floating-point
     /// rounding at the astronomical counts this analysis produces. The
     /// count is memoized per root and variable set until a collection
-    /// frees the root or a reorder clears the caches, so recounting an
-    /// unchanged relation is a table lookup.
+    /// frees the root, so recounting an unchanged relation is a table
+    /// lookup.
     ///
     /// The support must be a subset of the domains' variables.
     pub fn satcount_domains_exact(&self, doms: &[DomainId]) -> u128 {
@@ -965,16 +896,14 @@ impl Bdd {
     }
 
     /// The support: variables the function depends on, numerically
-    /// ascending (variable numbers are stable under reordering).
+    /// ascending (top of the order first).
     pub fn support(&self) -> Vec<Level> {
         self.store.borrow_mut().support(self.idx)
     }
 
     /// Internal node list with children before parents (ordered BDDs have
     /// strictly increasing levels toward the leaves, so sorting by level
-    /// descending suffices): `(id, variable, low_id, high_id)`. Nodes carry
-    /// the stable *variable* number, not the current level, so a dump is
-    /// meaningful under any order.
+    /// descending suffices): `(id, variable, low_id, high_id)`.
     pub(crate) fn dump_nodes(&self) -> Vec<(u64, u32, u64, u64)> {
         let mut s = self.store.borrow_mut();
         let mut out: Vec<_> = s
@@ -983,9 +912,7 @@ impl Bdd {
             .map(|u| (u as u64, s.level(u), s.low(u) as u64, s.high(u) as u64))
             .collect();
         out.sort_by_key(|n| std::cmp::Reverse(n.1));
-        out.iter()
-            .map(|&(id, lvl, lo, hi)| (id, s.order.var_at(lvl), lo, hi))
-            .collect()
+        out
     }
 
     /// The canonical node structure: one `(variable, low, high)` triple
@@ -1005,7 +932,7 @@ impl Bdd {
         };
         order
             .iter()
-            .map(|&u| (s.order.var_at(s.level(u)), pos(s.low(u)), pos(s.high(u))))
+            .map(|&u| (s.level(u), pos(s.low(u)), pos(s.high(u))))
             .collect()
     }
 
@@ -1026,12 +953,12 @@ impl Bdd {
     /// Panics if the support is not covered by the domains' variables.
     pub fn tuples(&self, doms: &[DomainId]) -> Vec<Vec<u64>> {
         let s = self.store.borrow();
-        // Union of the domains' variables, translated to current levels and
-        // sorted — the cube enumeration walks the order top-down — with
-        // decode positions mapping each domain bit back into that list.
+        // Union of the domains' variables, sorted — the cube enumeration
+        // walks the order top-down — with decode positions mapping each
+        // domain bit back into that list.
         let mut levels: Vec<Level> = Vec::new();
         for d in doms {
-            levels.extend(s.domains[d.0].bits.iter().map(|&v| s.order.level_of(v)));
+            levels.extend_from_slice(&s.domains[d.0].bits);
         }
         levels.sort_unstable();
         levels.dedup();
@@ -1043,9 +970,7 @@ impl Bdd {
                     .iter()
                     .enumerate()
                     .map(|(sig, &var)| {
-                        let ix = levels
-                            .binary_search(&s.order.level_of(var))
-                            .expect("level present");
+                        let ix = levels.binary_search(&var).expect("level present");
                         (ix, sig as u32)
                     })
                     .collect()

@@ -8,117 +8,6 @@
 
 use crate::BddError;
 
-/// Outcome of one [`crate::BddManager::reorder_sift`] pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReorderStats {
-    /// Live nodes when the pass started (after an initial collection).
-    pub nodes_before: usize,
-    /// Live nodes when the pass finished.
-    pub nodes_after: usize,
-    /// Adjacent-level swaps performed.
-    pub swaps: usize,
-}
-
-impl ReorderStats {
-    /// Nodes eliminated by the pass (negative if the table grew, which the
-    /// max-growth bound makes rare but possible).
-    pub fn delta_nodes(&self) -> i64 {
-        self.nodes_before as i64 - self.nodes_after as i64
-    }
-}
-
-/// The level↔variable indirection that makes dynamic reordering possible.
-///
-/// Public API talks about *variables* — stable identities fixed at manager
-/// construction (domain bit lists, quantification sets, rename pairs).
-/// Nodes are labeled with *levels* — positions in the current order, so the
-/// kernel's `min(level)` recursions never pay for a translation. This
-/// structure is the bijection between the two, plus the grouping of
-/// variables into sifting blocks (one block per ordering group, so
-/// interleaved domains move as a unit and stay interleaved).
-pub(crate) struct VarOrder {
-    /// `var2level[v]` = current position of variable `v`.
-    var2level: Vec<u32>,
-    /// `level2var[l]` = variable at position `l` (inverse of `var2level`).
-    level2var: Vec<u32>,
-    /// Sifting block of each variable, fixed at construction.
-    var_block: Vec<u32>,
-}
-
-impl VarOrder {
-    /// Identity order; every variable is its own sifting block.
-    pub(crate) fn new(varcount: u32) -> Self {
-        VarOrder {
-            var2level: (0..varcount).collect(),
-            level2var: (0..varcount).collect(),
-            var_block: (0..varcount).collect(),
-        }
-    }
-
-    /// Assigns sifting blocks from contiguous widths over the *initial*
-    /// (identity) layout: the first `widths[0]` variables form block 0, the
-    /// next `widths[1]` form block 1, and so on.
-    pub(crate) fn assign_blocks(&mut self, widths: &[u32]) {
-        debug_assert_eq!(
-            widths.iter().sum::<u32>() as usize,
-            self.var_block.len(),
-            "block widths must cover every variable"
-        );
-        let mut v = 0usize;
-        for (b, &w) in widths.iter().enumerate() {
-            for _ in 0..w {
-                self.var_block[v] = b as u32;
-                v += 1;
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn level_of(&self, var: u32) -> u32 {
-        self.var2level[var as usize]
-    }
-
-    #[inline]
-    pub(crate) fn var_at(&self, level: u32) -> u32 {
-        self.level2var[level as usize]
-    }
-
-    /// The full current order: variable at each level, outermost first.
-    pub(crate) fn level_to_var(&self) -> &[u32] {
-        &self.level2var
-    }
-
-    /// Records that the variables at `level` and `level + 1` traded places.
-    pub(crate) fn swap_levels(&mut self, level: u32) {
-        let l = level as usize;
-        let (a, b) = (self.level2var[l], self.level2var[l + 1]);
-        self.level2var[l] = b;
-        self.level2var[l + 1] = a;
-        self.var2level[a as usize] = level + 1;
-        self.var2level[b as usize] = level;
-    }
-
-    /// The current block layout as `(block id, width)` runs in level order,
-    /// or `None` if raw swaps have torn some block apart (each block must
-    /// occupy one contiguous level range to be sifted as a unit).
-    pub(crate) fn block_layout(&self) -> Option<Vec<(u32, u32)>> {
-        let mut runs: Vec<(u32, u32)> = Vec::new();
-        for l in 0..self.level2var.len() {
-            let b = self.var_block[self.level2var[l] as usize];
-            match runs.last_mut() {
-                Some(&mut (id, ref mut w)) if id == b => *w += 1,
-                _ => {
-                    if runs.iter().any(|&(id, _)| id == b) {
-                        return None; // block split across two runs
-                    }
-                    runs.push((b, 1));
-                }
-            }
-        }
-        Some(runs)
-    }
-}
-
 /// A parsed variable-ordering specification.
 ///
 /// # Example

@@ -16,7 +16,6 @@
 
 use crate::cache::{Cache, CacheStats, NIL};
 use crate::domain::{DomainData, DomainId};
-use crate::order::{ReorderStats, VarOrder};
 use crate::sat::CountMemo;
 use crate::Level;
 use std::collections::{HashMap, HashSet};
@@ -53,11 +52,6 @@ pub const NODE_BYTES: usize = std::mem::size_of::<Node>();
 /// node prefix outgrows it, so the load factor over the used prefix stays
 /// at most one, whatever capacity the manager reserved.
 pub(crate) const MIN_BUCKETS: usize = 1 << 12;
-
-/// Default max-growth factor of a sifting pass: a sweep direction is
-/// abandoned once the table exceeds this multiple of the best size seen
-/// for the block being sifted (Rudell's bound; BuDDy ships 1.2 as well).
-pub(crate) const DEFAULT_MAX_GROWTH: f64 = 1.2;
 
 /// Binary apply operators, named by their apply-cache tag: the const
 /// parameter of [`Store::apply_rec`].
@@ -110,8 +104,8 @@ pub(crate) struct Store {
     /// Client operation cache: memoizes whole-operation results for the
     /// library's caller (the Datalog engine's relation-level joins), keyed
     /// by `(root a, root b | NIL, client tag)`. It shares the kernel
-    /// caches' lifecycle — revalidated after GC, cleared by reordering —
-    /// so a warm entry always names live nodes.
+    /// caches' lifecycle — revalidated after GC — so a warm entry always
+    /// names live nodes.
     client_cache: Cache,
     /// Registered quantification variable sets: stable ids let the
     /// exist/relprod caches persist across calls (BuDDy's varset scheme).
@@ -137,19 +131,10 @@ pub(crate) struct Store {
     pub(crate) peak_reachable: usize,
     pub(crate) domains: Vec<DomainData>,
     pub(crate) domain_names: HashMap<String, usize>,
-    /// Level↔variable bijection; public API speaks variables, nodes carry
-    /// levels, and dynamic reordering permutes this mapping.
-    pub(crate) order: VarOrder,
-    /// Live-node threshold that arms an automatic sift (None = disabled).
-    pub(crate) auto_reorder_threshold: Option<usize>,
-    /// Armed by `reclaim` when the threshold is crossed; fired at the next
-    /// public operation entry, where the refstack is empty.
-    auto_reorder_pending: bool,
-    pub(crate) reorder_runs: usize,
     /// Kernel sanitizer switch: run [`Store::check_invariants`] at public
-    /// operation entry (sampled), after every node-freeing GC and after
-    /// every reordering pass. Defaults from the `sanitize` cargo feature,
-    /// overridable either way by `WHALE_SANITIZE=1`/`WHALE_SANITIZE=0`.
+    /// operation entry (sampled) and after every GC. Defaults from the
+    /// `sanitize` cargo feature, overridable either way by
+    /// `WHALE_SANITIZE=1`/`WHALE_SANITIZE=0`.
     pub(crate) sanitize: bool,
     /// Public-op counter driving the sampled entry-point checks.
     sanitize_ops: u32,
@@ -157,8 +142,8 @@ pub(crate) struct Store {
 
 /// How often the sampled entry-point check fires: a full table + cache
 /// audit is O(nodes + cache entries), too heavy for literally every public
-/// operation, so entry points check every `SANITIZE_STRIDE`th call (GC and
-/// reorder — the events that actually move nodes — always check).
+/// operation, so entry points check every `SANITIZE_STRIDE`th call (GC, the
+/// event that actually moves nodes, always checks).
 const SANITIZE_STRIDE: u32 = 256;
 
 /// Process-wide sanitizer default, resolved once: `WHALE_SANITIZE=1`
@@ -252,10 +237,6 @@ impl Store {
             peak_reachable: 0,
             domains: Vec::new(),
             domain_names: HashMap::new(),
-            order: VarOrder::new(varcount),
-            auto_reorder_threshold: None,
-            auto_reorder_pending: false,
-            reorder_runs: 0,
             sanitize: sanitize_default(),
             sanitize_ops: 0,
         }
@@ -365,14 +346,6 @@ impl Store {
             // GC only removes nodes.
             slot = hash3(level, low, high) & self.bucket_mask;
         }
-        self.insert_new(slot, level, low, high)
-    }
-
-    /// Allocates the node `(level, low, high)`, which the caller looked up
-    /// and did not find, chains it into `slot` and returns its index. If
-    /// the allocation extends the used prefix past the bucket count, the
-    /// bucket array doubles and the prefix is rehashed into it.
-    fn insert_new(&mut self, slot: usize, level: u32, low: u32, high: u32) -> u32 {
         let idx = self.alloc_slot(Node {
             level,
             low,
@@ -381,6 +354,8 @@ impl Store {
             next: self.buckets[slot],
         });
         self.buckets[slot] = idx;
+        // An allocation that extends the used prefix past the bucket count
+        // doubles the bucket array and rehashes the prefix into it.
         if self.nodes.len() > self.buckets.len() {
             self.rehash(self.buckets.len() * 2);
         }
@@ -389,16 +364,18 @@ impl Store {
 
     /// Replaces the bucket array by one of `len` (a power of two) empty
     /// buckets and chains every live node of the used prefix into it, lowest
-    /// index first in each chain. Every live node must be chained under its
-    /// current fields on entry; free slots keep their free-list links.
+    /// index first in each chain. Free slots keep their free-list links.
     fn rehash(&mut self, len: usize) {
         debug_assert!(len.is_power_of_two() && len >= self.nodes.len());
         self.buckets.clear();
         self.buckets.resize(len, NIL);
         self.bucket_mask = len - 1;
         for i in (2..self.nodes.len()).rev() {
-            if self.nodes[i].low != NIL {
-                self.bucket_insert(i as u32);
+            let n = self.nodes[i];
+            if n.low != NIL {
+                let slot = hash3(n.level, n.low, n.high) & self.bucket_mask;
+                self.nodes[i].next = self.buckets[slot];
+                self.buckets[slot] = i as u32;
             }
         }
     }
@@ -432,14 +409,6 @@ impl Store {
         self.gc();
         if self.free_slots() < self.capacity / 4 {
             self.grow();
-        }
-        if let Some(t) = self.auto_reorder_threshold {
-            if self.live_count() >= t {
-                // Can't sift here — the refstack holds an operation's
-                // intermediates. Arm the trigger; the next public entry
-                // point runs the pass.
-                self.auto_reorder_pending = true;
-            }
         }
     }
 
@@ -588,10 +557,8 @@ impl Store {
 
     // ----- public-operation entry -------------------------------------------
 
-    /// Public-operation entry hook: fires a pending automatic reorder,
-    /// which is only safe here, where the refstack is empty. With the
-    /// sanitizer enabled, every `SANITIZE_STRIDE`th entry also audits the
-    /// full table and caches.
+    /// Public-operation entry hook: with the sanitizer enabled, every
+    /// `SANITIZE_STRIDE`th entry audits the full table and caches.
     pub(crate) fn enter_public_op(&mut self) {
         if self.sanitize {
             self.sanitize_ops = self.sanitize_ops.wrapping_add(1);
@@ -599,7 +566,6 @@ impl Store {
                 self.sanitize_check("public-op entry");
             }
         }
-        self.maybe_auto_reorder();
     }
 
     /// Runs [`Store::check_invariants`] and panics on any violation —
@@ -844,7 +810,7 @@ impl Store {
 
     /// Doubles the logical capacity. The new slots are reserved, not
     /// written or chained: `mk` reaches them once the free list runs dry,
-    /// and the bucket array follows them there ([`Store::insert_new`]).
+    /// and the bucket array follows them there ([`Store::mk`]).
     fn grow(&mut self) {
         let old_len = self.capacity;
         let new_len = old_len * 2;
@@ -892,14 +858,12 @@ impl Store {
 
     pub(crate) fn ithvar(&mut self, var: Level) -> u32 {
         assert!(var < self.varcount, "variable out of range");
-        let level = self.order.level_of(var);
-        self.mk(level, ZERO, ONE)
+        self.mk(var, ZERO, ONE)
     }
 
     pub(crate) fn nithvar(&mut self, var: Level) -> u32 {
         assert!(var < self.varcount, "variable out of range");
-        let level = self.order.level_of(var);
-        self.mk(level, ONE, ZERO)
+        self.mk(var, ONE, ZERO)
     }
 
     /// The variables of the domains `doms`, each domain's bits
@@ -1035,9 +999,8 @@ impl Store {
         self.quant_last = 0;
         for &v in vars {
             assert!(v < self.varcount, "quantified variable out of range");
-            let l = self.order.level_of(v);
-            self.quant_set[l as usize] = true;
-            self.quant_last = self.quant_last.max(l);
+            self.quant_set[v as usize] = true;
+            self.quant_last = self.quant_last.max(v);
         }
     }
 
@@ -1159,16 +1122,14 @@ impl Store {
         self.replace_rec(f, id)
     }
 
-    /// Installs the level-space permutation for `pairs` of `(from, to)`
-    /// variables: `perm` maps the *level* of each source variable to the
-    /// *level* of its target, identity elsewhere.
+    /// Installs the permutation for `pairs` of `(from, to)` variables:
+    /// `perm` maps each source variable to its target, identity elsewhere.
     fn set_perm(&mut self, pairs: &[(Level, Level)]) {
         self.perm.clear();
         self.perm.extend(0..self.varcount);
         for &(from, to) in pairs {
             assert!(from < self.varcount && to < self.varcount);
-            let (fl, tl) = (self.order.level_of(from), self.order.level_of(to));
-            self.perm[fl as usize] = tl;
+            self.perm[from as usize] = to;
         }
     }
 
@@ -1316,24 +1277,20 @@ impl Store {
         res
     }
 
-    /// Checks whether the `(from, to)` pairs are monotone on `support`
-    /// under the *current* variable order: applying the mapping preserves
-    /// the relative level order of the support variables and does not
-    /// collide with any unmapped support variable.
+    /// Checks whether the `(from, to)` pairs are monotone on `support`:
+    /// applying the mapping preserves the relative order of the support
+    /// variables and does not collide with any unmapped support variable.
     pub(crate) fn replace_is_monotone(&self, support: &[Level], pairs: &[(Level, Level)]) -> bool {
-        let mut mapped: Vec<(Level, Level)> = support
+        let mapped: Vec<Level> = support
             .iter()
             .map(|&s| {
-                let to = pairs
+                pairs
                     .iter()
                     .find(|&&(from, _)| from == s)
-                    .map(|&(_, to)| to)
-                    .unwrap_or(s);
-                (self.order.level_of(s), self.order.level_of(to))
+                    .map_or(s, |&(_, to)| to)
             })
             .collect();
-        mapped.sort_unstable_by_key(|&(sl, _)| sl);
-        mapped.windows(2).all(|w| w[0].1 < w[1].1)
+        mapped.windows(2).all(|w| w[0] < w[1])
     }
 
     // ----- structural queries --------------------------------------------------
@@ -1367,7 +1324,7 @@ impl Store {
     pub(crate) fn support(&mut self, f: u32) -> Vec<Level> {
         let mut seen = vec![false; self.varcount as usize];
         for u in self.reachable(f) {
-            seen[self.order.var_at(self.nodes[u as usize].level) as usize] = true;
+            seen[self.nodes[u as usize].level as usize] = true;
         }
         (0..self.varcount).filter(|&v| seen[v as usize]).collect()
     }
@@ -1452,7 +1409,7 @@ impl Store {
         // prefix[l] = how many of `vars` have level < l.
         let mut prefix = vec![0u32; self.varcount as usize + 1];
         for &v in vars {
-            prefix[self.order.level_of(v) as usize + 1] = 1;
+            prefix[v as usize + 1] = 1;
         }
         for l in 1..prefix.len() {
             prefix[l] += prefix[l - 1];
@@ -1480,394 +1437,6 @@ impl Store {
         let scale = |v: f64, bits: u32| v * 2f64.powi(bits as i32);
         self.count_walk(f, &prefix, [0.0, 1.0], scale, |a, b| a + b)
     }
-
-    // ----- dynamic reordering -------------------------------------------------
-    //
-    // In-place Rudell sifting. The invariants (see DESIGN.md):
-    //
-    //   * node indices are stable — external `Bdd` handles survive because a
-    //     node whose function changes shape is rewritten *in place*;
-    //   * a swap of levels (l, l+1) touches only nodes at those two levels;
-    //   * only old level-(l+1) nodes can die during a swap, and deaths never
-    //     cascade deeper (a dying node's children are always retained by the
-    //     rewritten nodes' new children);
-    //   * the unique table stays canonical at every intermediate step.
-
-    /// Removes `idx` from its hash bucket (keyed by its current fields).
-    fn bucket_remove(&mut self, idx: u32) {
-        let n = self.nodes[idx as usize];
-        let slot = hash3(n.level, n.low, n.high) & self.bucket_mask;
-        let mut cur = self.buckets[slot];
-        if cur == idx {
-            self.buckets[slot] = n.next;
-            return;
-        }
-        while cur != NIL {
-            let next = self.nodes[cur as usize].next;
-            if next == idx {
-                self.nodes[cur as usize].next = n.next;
-                return;
-            }
-            cur = next;
-        }
-        unreachable!("node {idx} not found in its unique-table bucket");
-    }
-
-    /// Chains `idx` into the bucket for its current `(level, low, high)`.
-    fn bucket_insert(&mut self, idx: u32) {
-        let n = self.nodes[idx as usize];
-        let slot = hash3(n.level, n.low, n.high) & self.bucket_mask;
-        self.nodes[idx as usize].next = self.buckets[slot];
-        self.buckets[slot] = idx;
-    }
-
-    /// Builds the bookkeeping for a reordering pass: total reference counts
-    /// (external + one per table parent) and per-level node lists. Runs a
-    /// collection first so dead nodes don't distort sifting scores.
-    fn build_reorder_ctx(&mut self) -> ReorderCtx {
-        assert!(
-            self.refstack.is_empty(),
-            "reorder attempted while an operation is in flight"
-        );
-        self.gc();
-        let len = self.nodes.len();
-        let mut ctx = ReorderCtx {
-            rc: vec![0; len],
-            lists: vec![Vec::new(); self.varcount as usize],
-            pos: vec![0; len],
-        };
-        for i in 2..len {
-            let n = self.nodes[i];
-            if n.low == NIL {
-                continue; // free slot
-            }
-            ctx.rc[i] += n.refcount as u64;
-            ctx.rc[n.low as usize] += 1;
-            ctx.rc[n.high as usize] += 1;
-            ctx.pos[i] = ctx.lists[n.level as usize].len() as u32;
-            ctx.lists[n.level as usize].push(i as u32);
-        }
-        ctx
-    }
-
-    /// Finds or creates the node `(level, low, high)` during a swap, keeping
-    /// the reorder context's refcounts and level lists current. Unlike
-    /// [`Store::mk`] this never collects: the caller pre-reserved capacity.
-    fn swap_node(&mut self, level: u32, low: u32, high: u32, ctx: &mut ReorderCtx) -> u32 {
-        if low == high {
-            return low;
-        }
-        let slot = hash3(level, low, high) & self.bucket_mask;
-        let mut cur = self.buckets[slot];
-        while cur != NIL {
-            let n = &self.nodes[cur as usize];
-            if n.level == level && n.low == low && n.high == high {
-                return cur;
-            }
-            cur = n.next;
-        }
-        debug_assert!(
-            self.free_slots() > 0,
-            "swap ran out of pre-reserved capacity"
-        );
-        let idx = self.insert_new(slot, level, low, high);
-        if idx as usize >= ctx.rc.len() {
-            // A never-used slot: the context covers the used prefix only.
-            ctx.rc.resize(idx as usize + 1, 0);
-            ctx.pos.resize(idx as usize + 1, 0);
-        }
-        ctx.rc[idx as usize] = 0;
-        ctx.rc[low as usize] += 1;
-        ctx.rc[high as usize] += 1;
-        ctx.pos[idx as usize] = ctx.lists[level as usize].len() as u32;
-        ctx.lists[level as usize].push(idx);
-        idx
-    }
-
-    /// Releases one reference to `f` held by a rewritten node. If that was
-    /// the last reference, `f` — necessarily an old lower-level node, now
-    /// labeled `l` — is freed on the spot so `live_count` stays exact for
-    /// sifting scores. Deaths never cascade: the dying node's children are
-    /// still referenced by the rewritten node's new children.
-    fn swap_deref(&mut self, f: u32, l: u32, ctx: &mut ReorderCtx) {
-        if f <= ONE {
-            return;
-        }
-        ctx.rc[f as usize] -= 1;
-        if ctx.rc[f as usize] != 0 {
-            return;
-        }
-        debug_assert_eq!(self.nodes[f as usize].level, l);
-        debug_assert_eq!(self.nodes[f as usize].refcount, 0);
-        self.bucket_remove(f);
-        let n = self.nodes[f as usize];
-        for c in [n.low, n.high] {
-            if c > ONE {
-                ctx.rc[c as usize] -= 1;
-                debug_assert!(ctx.rc[c as usize] > 0, "cascading death in swap");
-            }
-        }
-        let p = ctx.pos[f as usize] as usize;
-        let list = &mut ctx.lists[l as usize];
-        list.swap_remove(p);
-        if p < list.len() {
-            ctx.pos[list[p] as usize] = p as u32;
-        }
-        self.nodes[f as usize] = FREE_NODE;
-        self.nodes[f as usize].next = self.free_head;
-        self.free_head = f;
-        self.free_count += 1;
-    }
-
-    /// Swaps adjacent levels `l` and `l + 1` in place.
-    ///
-    /// Writing `u` for the variable at level `l` and `v` for the one below:
-    /// every `v`-node is relabeled one level up (phase A); `u`-nodes not
-    /// depending on `v` are relabeled one level down (phase B1); `u`-nodes
-    /// depending on `v` are rewritten in place to test `v` first, with their
-    /// two new children looked up or created at level `l + 1` (phase B2).
-    /// Phase order matters for canonicity: B2's lookups at level `l + 1`
-    /// must see every B1-relabeled node, and no still-at-`l + 1` `v`-node.
-    pub(crate) fn swap_adjacent(&mut self, l: u32, ctx: &mut ReorderCtx) {
-        debug_assert!(l + 1 < self.varcount);
-        let (lu, lv) = (l as usize, l as usize + 1);
-        // Reserve enough free slots that phase B2 never allocates from an
-        // empty list (each dependent node creates at most two children).
-        let need = 2 * ctx.lists[lu].len() + 2;
-        while self.free_slots() < need {
-            self.grow();
-        }
-        let unodes = std::mem::take(&mut ctx.lists[lu]);
-        let vnodes = std::mem::take(&mut ctx.lists[lv]);
-        // Phase A: old lower-level nodes move up to level l.
-        for &v in &vnodes {
-            self.bucket_remove(v);
-            self.nodes[v as usize].level = l;
-            self.bucket_insert(v);
-            ctx.pos[v as usize] = ctx.lists[lu].len() as u32;
-            ctx.lists[lu].push(v);
-        }
-        // Phase B1: upper-level nodes independent of v move down untouched.
-        let mut dependent = Vec::new();
-        for &u in &unodes {
-            let n = self.nodes[u as usize];
-            // v-nodes sit at level l now; u's children were at > l before.
-            if self.level(n.low) == l || self.level(n.high) == l {
-                dependent.push(u);
-            } else {
-                self.bucket_remove(u);
-                self.nodes[u as usize].level = l + 1;
-                self.bucket_insert(u);
-                ctx.pos[u as usize] = ctx.lists[lv].len() as u32;
-                ctx.lists[lv].push(u);
-            }
-        }
-        // Phase B2: rewrite v-dependent nodes in place, preserving indices.
-        for &u in &dependent {
-            let n = self.nodes[u as usize];
-            let (f0, f1) = (n.low, n.high);
-            let (f00, f01) = if self.level(f0) == l {
-                (self.low(f0), self.high(f0))
-            } else {
-                (f0, f0)
-            };
-            let (f10, f11) = if self.level(f1) == l {
-                (self.low(f1), self.high(f1))
-            } else {
-                (f1, f1)
-            };
-            // `u` stays chained under its old fields until both children
-            // exist: a `swap_node` allocation may rehash the used prefix,
-            // which chains every live node under the fields it has then.
-            // The lookups are at level l + 1, so they cannot find `u`.
-            let a = self.swap_node(l + 1, f00, f10, ctx);
-            let b = self.swap_node(l + 1, f01, f11, ctx);
-            debug_assert_ne!(a, b, "rewritten node collapsed to a redundant test");
-            self.bucket_remove(u);
-            {
-                let n = &mut self.nodes[u as usize];
-                n.level = l;
-                n.low = a;
-                n.high = b;
-            }
-            self.bucket_insert(u);
-            ctx.pos[u as usize] = ctx.lists[lu].len() as u32;
-            ctx.lists[lu].push(u);
-            ctx.rc[a as usize] += 1;
-            ctx.rc[b as usize] += 1;
-            self.swap_deref(f0, l, ctx);
-            self.swap_deref(f1, l, ctx);
-        }
-        self.order.swap_levels(l);
-    }
-
-    /// One externally driven adjacent-level swap (a testing and diagnostic
-    /// building block — it pays the full O(table) context build per call,
-    /// where a sifting pass amortizes it).
-    pub(crate) fn swap_levels_once(&mut self, l: u32) {
-        assert!(l + 1 < self.varcount, "swap level out of range");
-        let mut ctx = self.build_reorder_ctx();
-        self.swap_adjacent(l, &mut ctx);
-        self.peak_live = self.peak_live.max(self.live_count());
-        // Cache entries may name nodes freed by the swap.
-        self.clear_caches();
-    }
-
-    /// Swaps the blocks at layout positions `i` and `i + 1` by sinking each
-    /// variable of the upper block past the whole lower block, bottom
-    /// variable first — relative order inside both blocks is preserved.
-    fn block_swap(
-        &mut self,
-        layout: &mut [(u32, u32)],
-        i: usize,
-        ctx: &mut ReorderCtx,
-        swaps: &mut usize,
-    ) {
-        let p: u32 = layout[..i].iter().map(|&(_, w)| w).sum();
-        let (a, b) = (layout[i].1, layout[i + 1].1);
-        for j in (0..a).rev() {
-            for s in 0..b {
-                self.swap_adjacent(p + j + s, ctx);
-                *swaps += 1;
-            }
-        }
-        layout.swap(i, i + 1);
-    }
-
-    /// Sifts one block (identified by `id`) through every layout position,
-    /// then parks it at the best one seen. Sweeps abandon a direction once
-    /// the table grows past `max_growth` times the best size so far.
-    fn sift_block(
-        &mut self,
-        layout: &mut [(u32, u32)],
-        id: u32,
-        max_growth: f64,
-        ctx: &mut ReorderCtx,
-        swaps: &mut usize,
-        peak: &mut usize,
-    ) {
-        let mut p = layout
-            .iter()
-            .position(|&(b, _)| b == id)
-            .expect("block present in layout");
-        let nblocks = layout.len();
-        let mut best = self.live_count();
-        let mut best_pos = p;
-        let bound = |best: usize| (best as f64 * max_growth) as usize + 2;
-        // Sweep down to the bottom.
-        while p + 1 < nblocks {
-            self.block_swap(layout, p, ctx, swaps);
-            p += 1;
-            let sz = self.live_count();
-            *peak = (*peak).max(sz);
-            if sz < best {
-                best = sz;
-                best_pos = p;
-            } else if sz > bound(best) {
-                break;
-            }
-        }
-        // Sweep up to the top.
-        while p > 0 {
-            self.block_swap(layout, p - 1, ctx, swaps);
-            p -= 1;
-            let sz = self.live_count();
-            *peak = (*peak).max(sz);
-            if sz < best {
-                best = sz;
-                best_pos = p;
-            } else if sz > bound(best) {
-                break;
-            }
-        }
-        // Park at the best position seen.
-        while p < best_pos {
-            self.block_swap(layout, p, ctx, swaps);
-            p += 1;
-        }
-        while p > best_pos {
-            self.block_swap(layout, p - 1, ctx, swaps);
-            p -= 1;
-        }
-    }
-
-    /// One sifting pass: every block, largest first, is moved to its locally
-    /// optimal position. Blocks are the ordering groups fixed at manager
-    /// construction (interleaved domains travel together); if external
-    /// swaps have torn a group apart, the pass degrades to sifting single
-    /// variables, which is always sound.
-    pub(crate) fn sift(&mut self, max_growth: f64) -> ReorderStats {
-        let mut stats = ReorderStats::default();
-        if self.varcount < 2 {
-            let live = self.live_count();
-            stats.nodes_before = live;
-            stats.nodes_after = live;
-            return stats;
-        }
-        let mut ctx = self.build_reorder_ctx();
-        stats.nodes_before = self.live_count();
-        let mut peak = stats.nodes_before;
-        let mut layout: Vec<(u32, u32)> = self
-            .order
-            .block_layout()
-            .unwrap_or_else(|| (0..self.varcount).map(|l| (l, 1)).collect());
-        // Initial node mass per block decides the sift order (largest
-        // first, Rudell's heuristic) — measured once, before anything moves.
-        let mut mass: Vec<(usize, u32)> = Vec::with_capacity(layout.len());
-        let mut lvl = 0usize;
-        for &(id, w) in &layout {
-            let m: usize = (lvl..lvl + w as usize).map(|l| ctx.lists[l].len()).sum();
-            mass.push((m, id));
-            lvl += w as usize;
-        }
-        mass.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        for &(_, id) in &mass {
-            self.sift_block(
-                &mut layout,
-                id,
-                max_growth,
-                &mut ctx,
-                &mut stats.swaps,
-                &mut peak,
-            );
-        }
-        self.peak_live = self.peak_live.max(peak);
-        stats.nodes_after = self.live_count();
-        self.reorder_runs += 1;
-        if stats.swaps > 0 {
-            // Entries may name nodes freed during the pass.
-            self.clear_caches();
-        }
-        if self.sanitize {
-            self.sanitize_check("after reorder");
-        }
-        stats
-    }
-
-    /// Fires a pending automatic sift, if armed and safe (no operation in
-    /// flight). Called from public operation entry points.
-    pub(crate) fn maybe_auto_reorder(&mut self) {
-        if !self.auto_reorder_pending || !self.refstack.is_empty() {
-            return;
-        }
-        self.auto_reorder_pending = false;
-        let stats = self.sift(DEFAULT_MAX_GROWTH);
-        // Back off: don't rearm until the table doubles past the sifted
-        // size, or thrashing would eat the savings.
-        if let Some(t) = &mut self.auto_reorder_threshold {
-            *t = (*t).max(stats.nodes_after * 2);
-        }
-    }
-}
-
-/// Transient bookkeeping of one reordering pass.
-pub(crate) struct ReorderCtx {
-    /// Total references per node: external refcount + one per table parent.
-    rc: Vec<u64>,
-    /// Table nodes at each level.
-    lists: Vec<Vec<u32>>,
-    /// Index of each node in its level list (for O(1) removal).
-    pos: Vec<u32>,
 }
 
 /// Mutation tests of the kernel sanitizer: each test seeds one specific

@@ -1,17 +1,27 @@
 //! Integration tests for the client operation cache: memo entries must
-//! track node liveness exactly (a hit may never name a freed node), and a
-//! reordering pass may drop them but never make them wrong.
+//! track node liveness exactly (a hit may never name a freed node), under
+//! any variable order.
 
-use whale_bdd::{Bdd, BddManager};
+use whale_bdd::{Bdd, BddManager, DomainSpec, OrderSpec};
 
-/// `f = ⋁ᵢ (aᵢ ∧ bᵢ)` with every `aᵢ` ordered before every `bᵢ`: the
-/// classic exponential ordering, guaranteed to give sifting real work.
-fn interleaving_victim(mgr: &BddManager, pairs: u32) -> Bdd {
+/// A manager over one-bit domains `A0..A7` and `B0..B7` laid out by
+/// `order`, and `f = ⋁ᵢ (aᵢ ∧ bᵢ)` in it.
+fn pairs_under(order: &str) -> (BddManager, Bdd) {
+    let names: Vec<String> = (0..8)
+        .flat_map(|i| [format!("A{i}"), format!("B{i}")])
+        .collect();
+    let specs: Vec<DomainSpec> = names.iter().map(|n| DomainSpec::new(n, 2)).collect();
+    let mgr = BddManager::with_domains(&specs, &OrderSpec::parse(order).unwrap()).unwrap();
     let mut f = mgr.zero();
-    for i in 0..pairs {
-        f = f.or(&mgr.ithvar(i).and(&mgr.ithvar(pairs + i)));
+    for i in 0..8 {
+        f = f.or(&var(&mgr, &format!("A{i}")).and(&var(&mgr, &format!("B{i}"))));
     }
-    f
+    (mgr, f)
+}
+
+/// The variable of the one-bit domain `name`.
+fn var(mgr: &BddManager, name: &str) -> Bdd {
+    mgr.ithvar(mgr.domain_levels(mgr.domain(name).unwrap())[0])
 }
 
 #[test]
@@ -69,20 +79,29 @@ fn client_memo_entry_survives_gc_while_result_lives() {
     );
 }
 
+/// The same function under the exponential order (every `aᵢ` above every
+/// `bᵢ`) and the linear one (pairs adjacent): a memo entry survives a
+/// collection that frees the garbage around it under both, and the two
+/// managers agree on its count.
 #[test]
-fn memo_after_reorder_is_gone_or_still_correct() {
-    let mgr = BddManager::with_vars(16);
-    let a = interleaving_victim(&mgr, 8);
-    let b = mgr.ithvar(3);
-    let r = a.and(&b);
-    mgr.memo_put(&a, Some(&b), 1, &r);
-    let count_before = r.satcount();
-    let stats = mgr.reorder_sift();
-    assert!(stats.swaps > 0, "sifting had real work by construction");
-    // Reordering rewrites nodes in place: handles stay valid, caches are
-    // cleared. A lookup may miss, but must never return a wrong result.
-    if let Some(hit) = mgr.memo_get(&a, Some(&b), 1) {
-        assert_eq!(hit, r);
+fn memo_survives_gc_under_two_orders() {
+    let exponential = "A0_A1_A2_A3_A4_A5_A6_A7_B0_B1_B2_B3_B4_B5_B6_B7";
+    let linear = "A0_B0_A1_B1_A2_B2_A3_B3_A4_B4_A5_B5_A6_B6_A7_B7";
+    let mut counts = Vec::new();
+    let mut sizes = Vec::new();
+    for order in [exponential, linear] {
+        let (mgr, a) = pairs_under(order);
+        let b = var(&mgr, "A3");
+        let r = a.and(&b);
+        mgr.memo_put(&a, Some(&b), 1, &r);
+        for i in 0..16u32 {
+            let _ = mgr.ithvar(i).xor(&a);
+        }
+        mgr.gc();
+        assert_eq!(mgr.memo_get(&a, Some(&b), 1), Some(r.clone()), "{order}");
+        counts.push(r.satcount());
+        sizes.push(a.node_count());
     }
-    assert_eq!(r.satcount(), count_before);
+    assert_eq!(counts[0], counts[1]);
+    assert!(sizes[0] > 8 * sizes[1], "node counts {sizes:?}");
 }

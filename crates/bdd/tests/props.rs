@@ -80,14 +80,36 @@ fn eval(e: &Expr, bits: u32) -> bool {
 }
 
 fn build(m: &BddManager, e: &Expr) -> Bdd {
+    const IDENTITY: [u32; NVARS as usize] = [0, 1, 2, 3, 4, 5];
+    build_at(m, e, &IDENTITY)
+}
+
+/// Builds `e` with expression variable `v` held by manager variable
+/// `vars[v]`.
+fn build_at(m: &BddManager, e: &Expr, vars: &[u32]) -> Bdd {
+    let sub = |x: &Expr| build_at(m, x, vars);
     match e {
-        Expr::Var(v) => m.ithvar(*v),
-        Expr::Not(a) => build(m, a).not(),
-        Expr::And(a, b) => build(m, a).and(&build(m, b)),
-        Expr::Or(a, b) => build(m, a).or(&build(m, b)),
-        Expr::Xor(a, b) => build(m, a).xor(&build(m, b)),
-        Expr::Diff(a, b) => build(m, a).diff(&build(m, b)),
+        Expr::Var(v) => m.ithvar(vars[*v as usize]),
+        Expr::Not(a) => sub(a).not(),
+        Expr::And(a, b) => sub(a).and(&sub(b)),
+        Expr::Or(a, b) => sub(a).or(&sub(b)),
+        Expr::Xor(a, b) => sub(a).xor(&sub(b)),
+        Expr::Diff(a, b) => sub(a).diff(&sub(b)),
     }
+}
+
+/// A manager over `NVARS` one-bit domains `X0..`, with `order` listing
+/// the expression variables top first, and the manager variable that
+/// holds each expression variable.
+fn ordered_manager(order: &[u32]) -> (BddManager, Vec<u32>) {
+    let name = |v: u32| format!("X{v}");
+    let specs: Vec<DomainSpec> = (0..NVARS).map(|v| DomainSpec::new(name(v), 2)).collect();
+    let spec = OrderSpec::from_groups(order.iter().map(|&v| vec![name(v)]).collect());
+    let m = BddManager::with_domains(&specs, &spec).unwrap();
+    let vars = (0..NVARS)
+        .map(|v| m.domain_levels(m.domain(&name(v)).unwrap())[0])
+        .collect();
+    (m, vars)
 }
 
 fn truth_table(e: &Expr) -> Vec<bool> {
@@ -404,13 +426,13 @@ fn cache_survives_gc_churn() {
     );
 }
 
-/// Reference node count of the reduced OBDD of the truth table `tt` under
-/// the manager's current order: the nodes at level `l` are exactly the
-/// distinct cofactors — over every assignment to the variables above `l` —
-/// that depend on the variable at `l`.
-fn reference_node_count(m: &BddManager, tt: &[bool]) -> usize {
+/// Reference node count of the reduced OBDD of the truth table `tt` when
+/// expression variable `v` sits at level `levels[v]`: the nodes at level
+/// `l` are exactly the distinct cofactors — over every assignment to the
+/// variables above `l` — that depend on the variable at `l`.
+fn reference_node_count(levels: &[u32], tt: &[bool]) -> usize {
     let mut by_level: Vec<u32> = (0..NVARS).collect();
-    by_level.sort_by_key(|&v| m.level_of_var(v));
+    by_level.sort_by_key(|&v| levels[v as usize]);
     let mut count = 0;
     for (l, &x) in by_level.iter().enumerate() {
         let above = &by_level[..l];
@@ -433,40 +455,42 @@ fn reference_node_count(m: &BddManager, tt: &[bool]) -> usize {
 
 /// `support` and `node_count` walk the graph with the store's GC marks:
 /// both must match a truth-table reference — a variable is in the support
-/// iff flipping it changes some row — under the initial and a sifted
+/// iff flipping it changes some row — under the identity and a permuted
 /// order, on two calls in a row with a forced GC between them, and must
 /// leave no mark behind (the sanitizer rejects stray marks).
 #[test]
 fn support_and_node_count_match_truth_table() {
-    let sifted = std::cell::Cell::new(0usize);
+    const PERMUTED: [u32; NVARS as usize] = [3, 0, 5, 1, 4, 2];
+    let permuted = std::cell::Cell::new(0usize);
     let gen = pair_of(arb_expr_pair(), ranged_u32(0, 2));
     check(
         "support_and_node_count_match_truth_table",
         CASES,
         &gen,
-        |((e, garbage), sift)| {
-            let m = BddManager::with_vars(NVARS);
-            let f = build(&m, e);
-            if *sift == 1 {
-                // Tangle the table with a second function so sifting has
-                // something to move, then keep only `f`.
-                let g = build(&m, garbage);
-                sifted.set(sifted.get() + usize::from(m.reorder_sift().swaps > 0));
-                drop(g);
-            }
+        |((e, garbage), order)| {
+            let order: Vec<u32> = if *order == 1 {
+                permuted.set(permuted.get() + 1);
+                PERMUTED.to_vec()
+            } else {
+                (0..NVARS).collect()
+            };
+            let (m, vars) = ordered_manager(&order);
+            let f = build_at(&m, e, &vars);
             let tt = truth_table(e);
-            let support: Vec<u32> = (0..NVARS)
+            let mut support: Vec<u32> = (0..NVARS)
                 .filter(|&v| {
                     (0..(1u32 << NVARS)).any(|b| tt[b as usize] != tt[(b ^ (1 << v)) as usize])
                 })
+                .map(|v| vars[v as usize])
                 .collect();
-            let nodes = reference_node_count(&m, &tt);
+            support.sort_unstable();
+            let nodes = reference_node_count(&vars, &tt);
             for call in ["first", "second"] {
                 eq_or(f.support(), support.clone(), &format!("{call} support"))?;
                 eq_or(f.node_count(), nodes, &format!("{call} node_count"))?;
                 m.check_invariants()?;
                 {
-                    let _g = build(&m, garbage).xor(&f);
+                    let _g = build_at(&m, garbage, &vars).xor(&f);
                 }
                 m.gc();
             }
@@ -474,8 +498,8 @@ fn support_and_node_count_match_truth_table() {
         },
     );
     assert!(
-        sifted.get() > 0,
-        "no case sifted; the reordered check is vacuous"
+        permuted.get() > 0,
+        "no case used the permuted order; its check is vacuous"
     );
 }
 
@@ -495,14 +519,13 @@ fn domain_range_count() {
     });
 }
 
-/// One adder check: a width, a layout of the two domains, whether the
-/// order is torn and re-sifted before the adder is built, and a constant
-/// (a quarter of the cases at or past `2^bits`, where nothing survives).
+/// One adder check: a width, a layout of the two domains and an
+/// unrelated third one, and a constant (a quarter of the cases at or past
+/// `2^bits`, where nothing survives).
 #[derive(Debug, Clone)]
 struct AdderCase {
     bits: u32,
     layout: &'static str,
-    sift_after_swap: Option<u32>,
     c: u64,
 }
 
@@ -512,8 +535,7 @@ fn arb_adder_case() -> Gen<AdderCase> {
         let width = 1u64 << bits;
         AdderCase {
             bits,
-            layout: ["XxY", "YxX", "X_Y", "Y_X"][rng.below(4) as usize],
-            sift_after_swap: rng.gen_bool(0.3).then(|| rng.gen_range(0..2 * bits - 1)),
+            layout: ["XxY_Z", "YxX_Z", "X_Y_Z", "Y_X_Z", "X_Z_Y", "ZxY_X"][rng.below(6) as usize],
             c: match rng.gen_range(0..8u32) {
                 0 => width + rng.below(width),
                 1 => rng.next_u64() | width,
@@ -532,20 +554,16 @@ fn domain_adder_matches_arithmetic() {
         |case| {
             let width = 1u64 << case.bits;
             let m = BddManager::with_domains(
-                &[DomainSpec::new("X", width), DomainSpec::new("Y", width)],
+                &[
+                    DomainSpec::new("X", width),
+                    DomainSpec::new("Y", width),
+                    DomainSpec::new("Z", 8),
+                ],
                 &OrderSpec::parse(case.layout).unwrap(),
             )
             .unwrap();
             let x = m.domain("X").unwrap();
             let y = m.domain("Y").unwrap();
-            // A raw swap tears the layout's blocks, so the sift that
-            // follows moves single variables into an arbitrary order; the
-            // live equality relation gives it something to optimize.
-            let _held = m.domain_eq(x, y);
-            if let Some(level) = case.sift_after_swap {
-                m.swap_adjacent_levels(level);
-                m.reorder_sift();
-            }
             let mut pairs = m.domain_add_const(x, y, case.c).tuples(&[x, y]);
             pairs.sort_unstable();
             let expected: Vec<Vec<u64>> = (0..width)
@@ -561,13 +579,12 @@ fn domain_adder_matches_arithmetic() {
 }
 
 /// One tuple-builder check: domain sizes (the attributes), the variable
-/// order, whether the order is torn and re-sifted before the build, and
-/// the tuples, duplicates included.
+/// order (shuffled, some domains interleaved) and the tuples, duplicates
+/// included.
 #[derive(Debug, Clone)]
 struct TupleCase {
     sizes: Vec<u64>,
     order: Vec<Vec<String>>,
-    sift_after_swap: Option<u32>,
     tuples: Vec<Vec<u64>>,
 }
 
@@ -603,10 +620,7 @@ fn arb_tuple_case() -> Gen<TupleCase> {
                 _ => order.push(vec![name]),
             }
         }
-        let varcount: u64 = sizes.iter().map(|&s| bits(s)).sum::<u64>() + bits(50);
-        // Wide cases stay small: single-variable sifting over a few hundred
-        // variables, and the reference's per-bit minterms, are slow.
-        let sift_after_swap = (!wide && rng.gen_bool(0.3)).then(|| rng.below(varcount - 1) as u32);
+        // Wide cases stay small: the reference's per-bit minterms are slow.
         let count = match (rng.gen_bool(0.1), wide) {
             (true, _) => 0,
             (false, true) => rng.below(40),
@@ -624,15 +638,9 @@ fn arb_tuple_case() -> Gen<TupleCase> {
         TupleCase {
             sizes,
             order,
-            sift_after_swap,
             tuples,
         }
     })
-}
-
-/// Bits of a domain of `size` values.
-fn bits(size: u64) -> u64 {
-    u64::from(64 - (size.max(2) - 1).leading_zeros())
 }
 
 /// Checks `tuple_set` against a minterm-per-tuple OR. The manager starts
@@ -667,13 +675,6 @@ fn tuple_set_matches_reference(case: &TupleCase) -> Result<bool, String> {
         }
         acc
     };
-    // The sift needs live nodes to weigh: a few of the tuples.
-    let _held = case.sift_after_swap.map(|level| {
-        let held = reference(&case.tuples[..case.tuples.len().min(20)]);
-        m.swap_adjacent_levels(level);
-        m.reorder_sift();
-        held
-    });
     let before = m.stats();
     let built = m.tuple_set(&doms, &case.tuples);
     let after = m.stats();
@@ -703,7 +704,6 @@ fn tuple_set_matches_minterm_reference() {
             vec!["D0".into()],
             vec!["D1".into()],
         ],
-        sift_after_swap: None,
         tuples: vec![
             vec![0, 1 << 62, 12345],
             vec![(1 << 63) - 1, 7, 0],
@@ -724,13 +724,15 @@ fn tuple_set_matches_minterm_reference() {
     assert!(grown.get() > 0, "no build collected and grew the table");
 }
 
-/// One count check: a relation over 1–3 domains, its tuples, and junk
-/// relations to build, count and free around it.
+/// One count check: a relation over 1–3 domains, its tuples, junk
+/// relations to build, count and free around it, and whether the order
+/// is reversed with the unrelated domain on top.
 #[derive(Debug, Clone)]
 struct CountCase {
     sizes: Vec<u64>,
     tuples: Vec<Vec<u64>>,
     junk: Vec<Vec<Vec<u64>>>,
+    reversed: bool,
 }
 
 fn arb_count_case() -> Gen<CountCase> {
@@ -749,14 +751,15 @@ fn arb_count_case() -> Gen<CountCase> {
             sizes,
             tuples,
             junk,
+            reversed: rng.gen_bool(0.5),
         }
     })
 }
 
 #[test]
-fn exact_counts_survive_gc_reorder_and_cache_clears() {
+fn exact_counts_survive_gc_and_cache_clears() {
     check(
-        "exact_counts_survive_gc_reorder_and_cache_clears",
+        "exact_counts_survive_gc_and_cache_clears",
         CASES,
         &arb_count_case(),
         |case| {
@@ -767,12 +770,12 @@ fn exact_counts_survive_gc_reorder_and_cache_clears() {
                 .map(|(n, &size)| DomainSpec::new(n.as_str(), size))
                 .collect();
             specs.push(DomainSpec::new("E", 50));
-            let order = names.iter().map(|n| vec![n.clone()]);
-            let m = BddManager::with_domains(
-                &specs,
-                &OrderSpec::from_groups(order.chain([vec!["E".into()]]).collect()),
-            )
-            .unwrap();
+            let mut order: Vec<Vec<String>> = names.iter().map(|n| vec![n.clone()]).collect();
+            order.push(vec!["E".into()]);
+            if case.reversed {
+                order.reverse();
+            }
+            let m = BddManager::with_domains(&specs, &OrderSpec::from_groups(order)).unwrap();
             let doms: Vec<_> = names.iter().map(|n| m.domain(n).unwrap()).collect();
             let e = m.domain("E").unwrap();
             // Both counts, checked against decoding, and the memo's hits.
@@ -810,8 +813,6 @@ fn exact_counts_survive_gc_reorder_and_cache_clears() {
             for t in case.junk.iter().rev() {
                 counted(&m.tuple_set(&doms, t))?;
             }
-            counted(&rel)?;
-            m.reorder_sift();
             counted(&rel)?;
             m.clear_op_caches();
             let hits = m.stats().count_memo.hits;

@@ -1,9 +1,9 @@
 //! The unique table's bucket array is sized to the nodes in use, not to the
 //! manager's reserved capacity: it starts small and doubles, rehashing the
-//! used node prefix, whenever `mk` or a sifting swap extends that prefix
-//! past it. These tests drive both paths through several doublings under
-//! the 2^20-slot reservation every analysis engine makes, and check that
-//! the functions the live handles denote never change.
+//! used node prefix, whenever `mk` extends that prefix past it. These
+//! tests drive it through several doublings under the 2^20-slot
+//! reservation every analysis engine makes, under two variable orders,
+//! and check that the functions the live handles denote never change.
 
 use whale_bdd::{Bdd, BddManager, DomainId, DomainSpec, OrderSpec, NODE_BYTES};
 use whale_testkit::Rng;
@@ -35,14 +35,17 @@ fn table_shape(m: &BddManager) -> (usize, usize) {
     }
 }
 
-fn manager() -> (BddManager, [DomainId; 3]) {
+/// The two orders every test runs under: the domains in declaration
+/// order, and the wide domain on top of the other two interleaved.
+const ORDERS: [&str; 2] = ["A_B_C", "C_BxA"];
+
+fn manager(order: &str) -> (BddManager, [DomainId; 3]) {
     let specs = [
         DomainSpec::new("A", 64),
         DomainSpec::new("B", 64),
         DomainSpec::new("C", 1 << 12),
     ];
-    // Separate blocks, so sifting moves whole domains past each other.
-    let order = OrderSpec::parse("A_B_C").unwrap();
+    let order = OrderSpec::parse(order).unwrap();
     let m = BddManager::with_domains_and_capacity(&specs, &order, ENGINE_CAPACITY).unwrap();
     let doms = ["A", "B", "C"].map(|d| m.domain(d).unwrap());
     (m, doms)
@@ -75,34 +78,22 @@ fn relations(
         .collect()
 }
 
-/// `f`'s tuples, sorted: enumeration follows the current variable order.
+/// `f`'s tuples, sorted: enumeration follows the variable order.
 fn sorted_tuples(f: &Bdd, doms: &[DomainId]) -> Vec<Vec<u64>> {
     let mut tuples = f.tuples(doms);
     tuples.sort_unstable();
     tuples
 }
 
-/// `f`'s value at every assignment of the variables of `dom`, in variable
-/// number order; `f`'s support must lie inside them. Reading through
-/// variable numbers makes the table independent of the current order.
-fn truth_table(m: &BddManager, f: &Bdd, dom: DomainId) -> Vec<bool> {
-    let mut vars = m.domain_levels(dom);
-    vars.sort_unstable();
-    (0..1u32 << vars.len())
-        .map(|bits| {
-            let assignment: Vec<(u32, bool)> = vars
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, (bits >> i) & 1 == 1))
-                .collect();
-            f.restrict(&assignment).is_one()
-        })
-        .collect()
-}
-
 #[test]
 fn mk_doubles_the_buckets_with_the_used_prefix() {
-    let (m, doms) = manager();
+    for order in ORDERS {
+        mk_doubles_the_buckets_under(order);
+    }
+}
+
+fn mk_doubles_the_buckets_under(order: &str) {
+    let (m, doms) = manager(order);
     assert_eq!(m.stats().allocated_nodes, ENGINE_CAPACITY);
     let (prefix, buckets) = table_shape(&m);
     assert_eq!(buckets, MIN_BUCKETS, "a new table holds {prefix} nodes");
@@ -110,7 +101,7 @@ fn mk_doubles_the_buckets_with_the_used_prefix() {
     let (prefix, buckets) = table_shape(&m);
     assert!(
         buckets >= 8 * MIN_BUCKETS,
-        "only {buckets} buckets for a prefix of {prefix}"
+        "{order}: only {buckets} buckets for a prefix of {prefix}"
     );
     assert_eq!(
         m.stats().allocated_nodes,
@@ -125,62 +116,5 @@ fn mk_doubles_the_buckets_with_the_used_prefix() {
     drop(rels);
     m.gc();
     assert_eq!(table_shape(&m), (prefix, buckets));
-    m.check_invariants().unwrap();
-}
-
-#[test]
-fn sifting_swaps_double_the_buckets_mid_pass() {
-    let (m, doms) = manager();
-    let (twin, twin_doms) = manager();
-    let rels = relations(&m, &doms, 11, 2);
-    let twin_rels = relations(&twin, &twin_doms, 11, 2);
-    // Top the used prefix up to within one tuple's nodes of the bucket
-    // count. `tuple_set` leaves no garbage, so no slot is free and the
-    // pass's first net new nodes extend the prefix across a doubling.
-    let mut rng = Rng::seed_from_u64(12);
-    let mut padding = Vec::new();
-    while {
-        let (prefix, buckets) = table_shape(&m);
-        prefix + 24 < buckets
-    } {
-        padding.push(m.tuple_set(&doms, [random_tuple(&mut rng)]));
-    }
-    m.gc();
-    let before = table_shape(&m);
-    assert_eq!(before.0, m.stats().live_nodes + 2, "no free slot");
-    // A pass without a growth bound sweeps every block to both ends.
-    let stats = m.reorder_sift_bounded(1e6);
-    assert!(stats.swaps > 0);
-    let after = table_shape(&m);
-    assert!(
-        after.1 > before.1,
-        "no bucket doubling during the pass: {before:?} -> {after:?}"
-    );
-    m.check_invariants().unwrap();
-    for ((f, tuples), (g, _)) in rels.iter().zip(&twin_rels) {
-        assert_eq!(&sorted_tuples(f, &doms), tuples);
-        assert_eq!(&sorted_tuples(g, &twin_doms), tuples);
-        for keep in 0..2 {
-            let drop = |d: &[DomainId; 3]| -> Vec<DomainId> {
-                (0..3).filter(|&i| i != keep).map(|i| d[i]).collect()
-            };
-            let fp = f.exist_domains(&drop(&doms));
-            let gp = g.exist_domains(&drop(&twin_doms));
-            assert_eq!(
-                truth_table(&m, &fp, doms[keep]),
-                truth_table(&twin, &gp, twin_doms[keep])
-            );
-        }
-    }
-    // The reordered table keeps working: new nodes land in the grown array.
-    let (f, _) = &rels[0];
-    let union = rels[1..].iter().fold(f.clone(), |acc, (g, _)| acc.or(g));
-    let twin_union = twin_rels[1..]
-        .iter()
-        .fold(twin_rels[0].0.clone(), |acc, (g, _)| acc.or(g));
-    assert_eq!(
-        sorted_tuples(&union, &doms),
-        sorted_tuples(&twin_union, &twin_doms)
-    );
     m.check_invariants().unwrap();
 }

@@ -49,7 +49,6 @@ fn main() -> ExitCode {
             seminaive: true,
             order: Some(CS_ORDER.into()),
             rel_cache: enabled,
-            ..EngineOptions::default()
         };
         let t = Instant::now();
         let a = context_sensitive(&facts, &cg, &numbering, Some(opts)).unwrap();

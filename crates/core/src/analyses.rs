@@ -48,14 +48,13 @@ impl Analysis {
 
 /// The engine options an analysis uses when the caller passes `None`:
 /// semi-naive evaluation with fused renames over the given variable
-/// order. Public so drivers can layer overrides (dynamic reordering, the
-/// relation cache) on an analysis's own defaults, e.g.
-/// `EngineOptions { reorder: true, ..default_options(CS_ORDER) }`.
+/// order. Public so drivers can layer overrides (the relation cache) on
+/// an analysis's own defaults, e.g.
+/// `EngineOptions { rel_cache: false, ..default_options(CS_ORDER) }`.
 pub fn default_options(order: &str) -> EngineOptions {
     EngineOptions {
         seminaive: true,
         order: Some(order.into()),
-        reorder: false,
         ..EngineOptions::default()
     }
 }

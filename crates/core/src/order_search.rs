@@ -4,7 +4,7 @@
 //! find an effective ordering" (Section 2.4.2) — finding the optimal
 //! ordering is NP-complete, so this is a deterministic hill-climb over
 //! adjacent-group swaps, evaluated by solving a (usually down-scaled)
-//! workload and scoring peak live BDD nodes.
+//! workload and scoring its peak BDD node count.
 
 use std::time::{Duration, Instant};
 use whale_datalog::DatalogError;
@@ -14,7 +14,10 @@ use whale_datalog::DatalogError;
 pub struct OrderCandidate {
     /// The ordering string.
     pub order: String,
-    /// Peak live BDD nodes while solving.
+    /// The evaluation's score: for [`search_ci_order`], the solve's
+    /// [`whale_datalog::SolveStats::peak_reachable_nodes`], the most nodes
+    /// a collection or the solve's closing marking pass found in use.
+    /// Lower is better.
     pub peak_nodes: usize,
     /// Wall-clock solve time.
     pub elapsed: Duration,
@@ -32,8 +35,8 @@ pub struct OrderSearchResult {
 /// Hill-climbs from `start` (an `_`-separated ordering string), swapping
 /// adjacent groups, until no neighbor improves or `budget` evaluations are
 /// spent. Evaluating `start` itself counts against the budget. `eval` must
-/// solve the workload under the given ordering and return its peak live
-/// BDD node count.
+/// solve the workload under the given ordering and return its peak BDD
+/// node count.
 ///
 /// # Errors
 ///
@@ -91,14 +94,13 @@ where
 }
 
 /// Searches a variable ordering for the context-insensitive analysis
-/// (Algorithm 2) on the given facts, scoring candidates by peak live BDD
-/// nodes. Use a down-scaled workload: the best order transfers to larger
-/// inputs of the same shape, which is exactly how `bddbddb`'s empirical
-/// search was used.
-///
-/// The first evaluation runs with dynamic reordering enabled and the order
-/// the sifting passes settle on seeds the climb, so the search starts from
-/// an empirically improved point instead of the static default.
+/// (Algorithm 2) on the given facts: a [`hill_climb`] from
+/// [`crate::analyses::CI_ORDER`], scoring each candidate by the solve's
+/// peak reachable BDD nodes. Peak *live* nodes are no score: they are
+/// sampled before a collection marks, so every order that fills the table
+/// reads the same. Use a down-scaled workload: the best order transfers to
+/// larger inputs of the same shape, which is exactly how `bddbddb`'s
+/// empirical search was used.
 ///
 /// # Errors
 ///
@@ -108,47 +110,15 @@ pub fn search_ci_order(
     facts: &whale_ir::Facts,
     budget: usize,
 ) -> Result<OrderSearchResult, DatalogError> {
-    if budget == 0 {
-        return Err(DatalogError::ZeroSearchBudget);
-    }
-    let run = |order: &str, reorder: bool| {
-        crate::analyses::context_insensitive(
+    hill_climb(crate::analyses::CI_ORDER, budget, |order| {
+        let solved = crate::analyses::context_insensitive(
             facts,
             true,
             crate::analyses::CallGraphMode::Cha,
-            Some(whale_datalog::EngineOptions {
-                seminaive: true,
-                order: Some(order.to_string()),
-                reorder,
-                ..whale_datalog::EngineOptions::default()
-            }),
-        )
-    };
-    // Seed evaluation: let sifting improve the default order in place, then
-    // read the group permutation it settled on back off the engine.
-    let t0 = Instant::now();
-    let seeded = run(crate::analyses::CI_ORDER, true)?;
-    let seed = OrderCandidate {
-        order: seeded.engine.current_order(),
-        peak_nodes: seeded.stats.peak_live_nodes,
-        elapsed: t0.elapsed(),
-    };
-    if budget == 1 {
-        return Ok(OrderSearchResult {
-            best: seed.clone(),
-            evaluated: vec![seed],
-        });
-    }
-    let mut res = hill_climb(&seed.order, budget - 1, |order| {
-        Ok(run(order, false)?.stats.peak_live_nodes)
-    })?;
-    // The seeded run is a candidate in its own right (reordering counts
-    // against its peak too, so the comparison is conservative).
-    if seed.peak_nodes < res.best.peak_nodes {
-        res.best = seed.clone();
-    }
-    res.evaluated.insert(0, seed);
-    Ok(res)
+            Some(crate::analyses::default_options(order)),
+        )?;
+        Ok(solved.stats.peak_reachable_nodes)
+    })
 }
 
 #[cfg(test)]

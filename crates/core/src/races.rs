@@ -241,7 +241,6 @@ race(c1,s1,c2,s2,h,f) :- write(c1,s1,ch,h,f), access(c2,s2,ch,h,f), escaped(ch,h
         Some(options.unwrap_or(EngineOptions {
             seminaive: true,
             order: Some(RACE_ORDER.into()),
-            reorder: false,
             ..EngineOptions::default()
         })),
     )?;

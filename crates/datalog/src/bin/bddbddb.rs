@@ -4,7 +4,7 @@
 //!
 //! ```console
 //! bddbddb program.datalog [--facts DIR] [--out DIR] [--naive] [--order SPEC]
-//!         [--reorder] [--bdd-cache DIR] [--stats] [--query ATOM]
+//!         [--bdd-cache DIR] [--stats] [--query ATOM]
 //! ```
 //!
 //! For every `input` relation `R`, tuples are read from `DIR/R.tuples`
@@ -17,7 +17,8 @@
 //! when present (taking precedence over tuple files) and every output
 //! relation's BDD is saved there after solving — the original `bddbddb`'s
 //! `.bdd` caching. Cached BDDs are only portable across runs using the
-//! same program and variable ordering.
+//! same program and variable ordering; a file written for another domain
+//! layout fails the run with a BDD error (E016) that names it.
 //!
 //! With `--query 'R(arg, ...)'` the program is solved and the tuples
 //! matching the query atom (constants and quoted names pin columns,
@@ -34,11 +35,12 @@
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use whale_datalog::{Engine, EngineOptions, Program, RelationKind};
+use whale_datalog::{DatalogError, Diagnostic, Engine, EngineOptions, Program, RelationKind};
 
 /// A driver failure, split by exit code: usage errors (bad flags or
 /// flag combinations) exit 2 with a pointer at `--help`; runtime
-/// failures (parse errors, I/O, `--deny-warnings` trips) exit 1.
+/// failures (parse errors, I/O, `--deny-warnings` trips) exit 1, and
+/// those the engine raises carry their diagnostic code.
 enum CliError {
     Usage(String),
     Run(Box<dyn std::error::Error>),
@@ -58,7 +60,10 @@ fn main() -> ExitCode {
     match run() {
         Ok(code) => code,
         Err(CliError::Run(e)) => {
-            eprintln!("bddbddb: {e}");
+            match e.downcast_ref::<DatalogError>() {
+                Some(d) => eprintln!("bddbddb: error[{}]: {e}", Diagnostic::from_error(d).code),
+                None => eprintln!("bddbddb: {e}"),
+            }
             ExitCode::FAILURE
         }
         Err(CliError::Usage(msg)) => {
@@ -99,7 +104,6 @@ fn run() -> Result<ExitCode, CliError> {
             "--order" => {
                 options.order = Some(args.next().ok_or_else(|| usage("--order needs a spec"))?)
             }
-            "--reorder" => options.reorder = true,
             "--stats" => show_stats = true,
             "--query" => query = Some(args.next().ok_or_else(|| usage("--query needs an atom"))?),
             "--check" => check = true,
@@ -115,7 +119,7 @@ fn run() -> Result<ExitCode, CliError> {
             },
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: bddbddb PROGRAM.datalog [--facts DIR] [--out DIR] [--naive] [--order SPEC] [--reorder] [--bdd-cache DIR] [--stats] [--query ATOM] [--check] [--deny-warnings] [--format text|json]"
+                    "usage: bddbddb PROGRAM.datalog [--facts DIR] [--out DIR] [--naive] [--order SPEC] [--bdd-cache DIR] [--stats] [--query ATOM] [--check] [--deny-warnings] [--format text|json]"
                 );
                 return Ok(ExitCode::SUCCESS);
             }
@@ -175,7 +179,8 @@ fn run() -> Result<ExitCode, CliError> {
             let cached = cache.join(format!("{name}.bdd"));
             if cached.exists() {
                 let file = std::io::BufReader::new(std::fs::File::open(&cached)?);
-                let bdd = whale_bdd::io::read_bdd(engine.manager(), file)?;
+                let bdd = whale_bdd::io::read_bdd(engine.manager(), file)
+                    .map_err(|e| DatalogError::Bdd(format!("{}: {e}", cached.display())))?;
                 eprintln!("loaded {name} from {}", cached.display());
                 engine.set_relation_bdd(name, bdd)?;
                 continue;
@@ -215,15 +220,6 @@ fn run() -> Result<ExitCode, CliError> {
         stats.rule_applications,
         stats.peak_live_nodes
     );
-    if stats.reorder_runs > 0 {
-        eprintln!(
-            "reordered {} times in {:?} ({} nodes eliminated), final order {}",
-            stats.reorder_runs,
-            stats.reorder_time,
-            stats.reorder_delta_nodes,
-            engine.current_order()
-        );
-    }
     if show_stats {
         eprint!("{}", stats.stratum_summary());
         // Per-solve counter deltas, including the relation-level memo

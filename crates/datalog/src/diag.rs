@@ -205,7 +205,7 @@ impl Diagnostic {
                 Span::new(*line, *col),
                 vec![format!(
                     "note: estimated join search space is 2^{cost_log2}; consider \
-                     splitting the rule or reordering domains"
+                     splitting the rule or changing the domain order"
                 )],
             ),
             DatalogError::DuplicateRule {

@@ -40,15 +40,6 @@ pub struct EngineOptions {
     /// `"N_F_I_M_VxH"`), or physical instances (`"V1_V0"`). `None` lays the
     /// domains out in declaration order, instances interleaved.
     pub order: Option<String>,
-    /// Run dynamic variable reordering (sifting) between fixpoint rounds
-    /// once the node table outgrows an adaptive threshold. The fixpoint is
-    /// unchanged — only BDD sizes move; reorder effort is reported in
-    /// [`SolveStats::reorder_runs`], [`SolveStats::reorder_time`] and
-    /// [`SolveStats::reorder_delta_nodes`]. Off by default. Record:
-    /// `reorder/tiny` in `results/bench_smoke.jsonl`, where two passes
-    /// take over 90% of the solve's time to remove about 1 500 nodes; it pays
-    /// only when a poor initial order blows up the table (DESIGN.md §5f).
-    pub reorder: bool,
     /// Memoize whole relation-level operations (atom filters/renames and
     /// rename-join-project steps) in the kernel's GC-safe client cache,
     /// keyed by operand BDD roots plus an interned operation tag.
@@ -63,16 +54,11 @@ pub struct EngineOptions {
     pub rel_cache: bool,
 }
 
-/// Reordering never fires below this live-node count: tiny tables gain
-/// nothing and the pass would only churn the operation caches.
-const REORDER_MIN_NODES: usize = 2048;
-
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             seminaive: true,
             order: None,
-            reorder: false,
             rel_cache: true,
         }
     }
@@ -94,14 +80,6 @@ pub struct SolveStats {
     /// pass at its end, found reachable
     /// ([`whale_bdd::BddStats::peak_reachable_nodes`]).
     pub peak_reachable_nodes: usize,
-    /// Dynamic reordering passes run during this solve (see
-    /// [`EngineOptions::reorder`]).
-    pub reorder_runs: usize,
-    /// Wall-clock time spent in those reordering passes.
-    pub reorder_time: std::time::Duration,
-    /// Net live nodes eliminated by those passes (positive means the
-    /// table shrank).
-    pub reorder_delta_nodes: i64,
     /// Binary-apply cache activity during this solve (deltas, not
     /// lifetime totals — a second solve starts from zero again).
     pub apply_cache: CacheStats,
@@ -177,8 +155,8 @@ pub struct QueryResult {
     /// The queried relation's name.
     pub relation: String,
     /// Matching tuples at the relation's full arity, decoded in attribute
-    /// order and sorted (BDD enumeration order is not stable under
-    /// dynamic reordering; sorting makes answers deterministic).
+    /// order and sorted (BDD enumeration follows the variable order;
+    /// sorting makes answers independent of it).
     pub tuples: Vec<Vec<u64>>,
     /// Statistics of the solve that brought the engine up to date before
     /// the select (see [`Engine::ensure_solved`]); all zeros when the
@@ -198,11 +176,6 @@ pub struct Engine {
     rel: Vec<RelationState>,
     name_maps: HashMap<usize, HashMap<String, u64>>,
     name_lists: HashMap<usize, Vec<String>>,
-    /// Construction-time ordering groups as the user's tokens (logical or
-    /// physical names) and as expanded physical names, index-parallel.
-    /// [`Engine::current_order`] renders the sifted group permutation.
-    order_tokens: Vec<Vec<String>>,
-    order_phys: Vec<Vec<String>>,
     stats: SolveStats,
     /// Rule evaluation against the engine's manager.
     eval: RuleEval,
@@ -264,17 +237,7 @@ impl Engine {
                 specs.push(DomainSpec::new(format!("{}{}", decl.name, i), decl.size));
             }
         }
-        let order_tokens: Vec<Vec<String>> = match options.order.as_deref() {
-            None => program
-                .domains
-                .iter()
-                .map(|d| vec![d.name.clone()])
-                .collect(),
-            Some(o) => OrderSpec::parse(o)?.groups().to_vec(),
-        };
-        let groups = expand_order(&program, options.order.as_deref())?;
-        let order_phys = groups.clone();
-        let order = OrderSpec::from_groups(groups);
+        let order = OrderSpec::from_groups(expand_order(&program, options.order.as_deref())?);
         // Analyses routinely reach hundreds of thousands of live nodes;
         // starting large avoids early grow-and-collect cycles that clear
         // the operation caches mid-fixpoint.
@@ -304,8 +267,6 @@ impl Engine {
             rel,
             name_maps: HashMap::new(),
             name_lists: HashMap::new(),
-            order_tokens,
-            order_phys,
             stats: SolveStats::default(),
             eval,
             solved: false,
@@ -327,33 +288,6 @@ impl Engine {
     /// Statistics from the last [`Engine::solve`].
     pub fn stats(&self) -> SolveStats {
         self.stats.clone()
-    }
-
-    /// The variable ordering as it stands now, rendered in the same
-    /// group syntax [`EngineOptions::order`] accepts (tokens of a group
-    /// joined by `x`, groups by `_`). With reordering off this is the
-    /// construction-time ordering; after sifting passes it reflects the
-    /// group permutation they settled on, so it can seed a subsequent
-    /// empirical ordering search.
-    pub fn current_order(&self) -> String {
-        let mut keyed: Vec<(u32, String)> = self
-            .order_tokens
-            .iter()
-            .zip(&self.order_phys)
-            .map(|(tokens, phys)| {
-                let top = phys
-                    .iter()
-                    .filter_map(|name| self.mgr.domain(name))
-                    .flat_map(|d| self.mgr.domain_levels(d))
-                    .map(|v| self.mgr.level_of_var(v))
-                    .min()
-                    .unwrap_or(u32::MAX);
-                (top, tokens.join("x"))
-            })
-            .collect();
-        keyed.sort();
-        let groups: Vec<String> = keyed.into_iter().map(|(_, g)| g).collect();
-        groups.join("_")
     }
 
     fn rel_ix(&self, name: &str) -> Result<usize, DatalogError> {
@@ -595,9 +529,9 @@ impl Engine {
     /// ([`Bdd::canonical_nodes`]), hashed in O(nodes) rather than
     /// O(tuples). Two engines with equal hashes compute identical
     /// fixpoints, which is what keys the serve daemon's warm-start dump
-    /// cache. The structure depends on the current variable order, so a
-    /// sifted engine may hash differently from an unsifted one over the
-    /// same facts: a cache miss, never a wrong warm start.
+    /// cache. The structure depends on the variable order, so engines over
+    /// the same facts under two orders hash differently: a cache miss,
+    /// never a wrong warm start.
     #[must_use]
     pub fn fact_stream_hash(&self) -> u64 {
         // FNV-1a, 64-bit — stable across runs and platforms, no external
@@ -1089,7 +1023,7 @@ impl Engine {
     /// relations as they stand: constants and quoted names are bound, a
     /// repeated variable keeps only the tuples that agree on its positions
     /// (`path(x, x)` keeps the diagonal), and the answer is sorted (BDD
-    /// enumeration order is not stable under dynamic reordering). Nothing
+    /// enumeration follows the variable order). Nothing
     /// is derived, so the caller solves first ([`Engine::ensure_solved`]).
     ///
     /// # Errors
@@ -1145,7 +1079,6 @@ impl Engine {
                 }
             }
         }
-        let mut reorder_at = REORDER_MIN_NODES;
         for (c, comp) in prep.comps.iter().enumerate() {
             if !affected[c] {
                 stats.stratum_times.push(Duration::ZERO);
@@ -1174,7 +1107,7 @@ impl Engine {
                             .options
                             .seminaive
                             .then(|| comp.iter().map(|&r| (r, self.rel[r].bdd.clone())).collect());
-                        self.fixpoint(comp, &rec, seed, stats, &mut reorder_at);
+                        self.fixpoint(comp, &rec, seed, stats);
                     }
                 }
                 Start::Resume(changed) => {
@@ -1197,7 +1130,7 @@ impl Engine {
                         seed.insert(r, d);
                     }
                     if !rec.is_empty() && seed.values().any(|d| !d.is_zero()) {
-                        self.fixpoint(comp, &rec, Some(seed), stats, &mut reorder_at);
+                        self.fixpoint(comp, &rec, Some(seed), stats);
                     }
                     // Record the stratum's growth so downstream strata
                     // inject it in turn.
@@ -1226,7 +1159,6 @@ impl Engine {
         rec: &[&RulePlan],
         seed: Option<HashMap<usize, Bdd>>,
         stats: &mut SolveStats,
-        reorder_at: &mut usize,
     ) {
         // `seed` stays referenced until the fixpoint returns, so collections
         // triggered mid-round keep its nodes; the kernel counters
@@ -1246,7 +1178,6 @@ impl Engine {
             if !grew {
                 return;
             }
-            self.maybe_reorder(stats, reorder_at);
         }
     }
 
@@ -1338,24 +1269,6 @@ impl Engine {
             self.eval
                 .eval_rule(plan, &srcs, &neg_srcs, narrowed.map(|(occ, _)| occ)),
         )
-    }
-
-    /// Runs one sifting pass if reordering is enabled and the table has
-    /// outgrown the adaptive threshold. Called between fixpoint rounds,
-    /// where no kernel operation is in flight (live handles — relation and
-    /// delta BDDs — stay valid; the pass rewrites nodes in place). After a
-    /// pass the threshold doubles over the sifted size so a table that has
-    /// settled stops paying for reordering.
-    fn maybe_reorder(&self, stats: &mut SolveStats, reorder_at: &mut usize) {
-        if !self.options.reorder || self.mgr.stats().live_nodes < *reorder_at {
-            return;
-        }
-        let t0 = Instant::now();
-        let rs = self.mgr.reorder_sift();
-        stats.reorder_runs += 1;
-        stats.reorder_time += t0.elapsed();
-        stats.reorder_delta_nodes += rs.delta_nodes();
-        *reorder_at = (rs.nodes_after * 2).max(REORDER_MIN_NODES);
     }
 }
 
@@ -1451,7 +1364,7 @@ fn expand_order(program: &Program, order: Option<&str>) -> Result<Vec<Vec<String
                     .take_while(|(_, c)| c.is_ascii_digit())
                     .map(|(i, _)| i)
                     .last();
-                // The digit suffix is user input (`-o` / `.bddvarorder`):
+                // The digit suffix is user input (`--order` or an order file):
                 // a value that overflows usize is just an unknown domain,
                 // not a panic.
                 let unknown = || {

@@ -438,6 +438,11 @@ fn usage_errors_exit_2() {
             vec![program.to_str().unwrap(), "--jobs", "2"],
             "unknown option",
         ),
+        // There is no dynamic reordering to switch on.
+        (
+            vec![program.to_str().unwrap(), "--reorder"],
+            "unknown option `--reorder`",
+        ),
         (vec![], "missing program file"),
         (
             vec![program.to_str().unwrap(), "extra.datalog"],
@@ -512,7 +517,56 @@ fn mismatched_bdd_cache_is_a_bad_fact_not_a_panic() {
     let second = run();
     let stderr = String::from_utf8_lossy(&second.stderr);
     assert_eq!(second.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("bad fact"), "{stderr}");
+    assert!(stderr.contains("error[E014]: bad fact"), "{stderr}");
     assert!(stderr.contains("`a`"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `.bdd` cache written under one program and loaded under a wider one
+/// (more bits per domain, so more variables) is refused with a typed BDD
+/// error: exit 1, diagnostic code E016, the file's path, both variable
+/// counts and the advice to delete it.
+#[test]
+fn stale_bdd_cache_from_a_narrower_program_is_a_coded_error() {
+    let dir = std::env::temp_dir().join(format!("whale_cli_stale_{}", std::process::id()));
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let tc = |size: u32| {
+        format!(
+            "DOMAINS\nV {size}\nRELATIONS\ninput edge (s : V, d : V)\noutput path (s : V, d : V)\nRULES\npath(x,y) :- edge(x,y).\npath(x,z) :- path(x,y), edge(y,z).\n"
+        )
+    };
+    let run = |size: u32| {
+        let program = dir.join(format!("tc{size}.datalog"));
+        std::fs::write(&program, tc(size)).unwrap();
+        bddbddb()
+            .arg(&program)
+            .args(["--facts", dir.to_str().unwrap()])
+            .args(["--out", dir.to_str().unwrap()])
+            .args(["--bdd-cache", cache.to_str().unwrap()])
+            .output()
+            .unwrap()
+    };
+    std::fs::write(dir.join("edge.tuples"), "0 1\n1 2\n").unwrap();
+    // Three instances of a 6-bit `V`: 18 variables.
+    let narrow = run(64);
+    assert!(
+        narrow.status.success(),
+        "{}",
+        String::from_utf8_lossy(&narrow.stderr)
+    );
+    std::fs::copy(cache.join("path.bdd"), cache.join("edge.bdd")).unwrap();
+    // Three instances of an 8-bit `V`: 24 variables.
+    let wide = run(256);
+    let stderr = String::from_utf8_lossy(&wide.stderr);
+    assert_eq!(wide.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error[E016]"), "{stderr}");
+    assert!(stderr.contains("edge.bdd"), "{stderr}");
+    assert!(
+        stderr.contains("has 18 variables but this manager has 24"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("another domain layout"), "{stderr}");
+    assert!(stderr.contains("deleted"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

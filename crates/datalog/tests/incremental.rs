@@ -1,7 +1,8 @@
 //! The incremental-solve oracle: random `add_facts`/`retract_facts`
 //! delta sequences applied through [`Engine::solve_incremental`] must be
-//! byte-identical to a from-scratch solve over the final fact set, with
-//! dynamic reordering off and on, and with semi-naive and naive rounds.
+//! byte-identical to a from-scratch solve over the final fact set, under
+//! the default and a permuted variable order, and with semi-naive and
+//! naive rounds.
 //!
 //! The program is built to exercise every incremental tier: a recursive
 //! transitive closure (semi-naive resume), a stratified negation over it
@@ -37,10 +38,15 @@ colored(x) :- color(x).
 
 const OUTPUTS: [&str; 5] = ["path", "reach", "node", "unreached", "colored"];
 
-fn make_engine(reorder: bool, seminaive: bool) -> Engine {
+/// The two variable orders every oracle run is checked under: the default
+/// (the three instances of `V` interleaved) and the instances laid out
+/// one after another, bottom one first.
+const ORDERS: [Option<&str>; 2] = [None, Some("V2_V1_V0")];
+
+fn make_engine(order: Option<&str>, seminaive: bool) -> Engine {
     let program = Program::parse(PROGRAM).unwrap();
     let options = EngineOptions {
-        reorder,
+        order: order.map(str::to_string),
         seminaive,
         ..EngineOptions::default()
     };
@@ -52,9 +58,9 @@ fn make_engine(reorder: bool, seminaive: bool) -> Engine {
 fn reference_solve(
     edges: &BTreeSet<(u64, u64)>,
     colors: &BTreeSet<u64>,
-    reorder: bool,
+    order: Option<&str>,
 ) -> (Vec<Vec<Vec<u64>>>, SolveStats) {
-    let mut e = make_engine(reorder, true);
+    let mut e = make_engine(order, true);
     e.add_facts("edge", edges.iter().map(|&(s, d)| vec![s, d]))
         .unwrap();
     e.add_facts("color", colors.iter().map(|&c| vec![c]))
@@ -73,21 +79,21 @@ fn snapshot(e: &Engine) -> Vec<Vec<Vec<u64>>> {
 #[test]
 fn random_delta_sequences_match_from_scratch() {
     for seed in [11, 12, 13] {
-        for reorder in [false, true] {
+        for order in ORDERS {
             for seminaive in [true, false] {
-                check_one(seed, reorder, seminaive);
+                check_one(seed, order, seminaive);
             }
         }
     }
 }
 
-fn check_one(seed: u64, reorder: bool, seminaive: bool) {
-    let tag = format!("seed={seed} reorder={reorder} seminaive={seminaive}");
+fn check_one(seed: u64, order: Option<&str>, seminaive: bool) {
+    let tag = format!("seed={seed} order={order:?} seminaive={seminaive}");
     let mut rng = Rng::seed_from_u64(seed);
     let mut edges: BTreeSet<(u64, u64)> = BTreeSet::new();
     let mut colors: BTreeSet<u64> = BTreeSet::new();
 
-    let mut e = make_engine(reorder, seminaive);
+    let mut e = make_engine(order, seminaive);
     for _ in 0..12 {
         let t = (rng.below(16), rng.below(16));
         if edges.insert(t) {
@@ -125,7 +131,7 @@ fn check_one(seed: u64, reorder: bool, seminaive: bool) {
 
         let stats = e.solve_incremental().unwrap();
         assert!(stats.incremental, "{tag} step {step}");
-        let (expected, _) = reference_solve(&edges, &colors, reorder);
+        let (expected, _) = reference_solve(&edges, &colors, order);
         assert_eq!(snapshot(&e), expected, "{tag} step {step}");
     }
 }
@@ -139,7 +145,7 @@ fn monotone_additions_resume_without_fallback() {
         let mut rng = Rng::seed_from_u64(seed);
         let mut edges: BTreeSet<(u64, u64)> = BTreeSet::new();
         let mut colors: BTreeSet<u64> = BTreeSet::new();
-        let mut e = make_engine(false, true);
+        let mut e = make_engine(None, true);
         for _ in 0..10 {
             let t = (rng.below(12), rng.below(12));
             if edges.insert(t) {
@@ -157,7 +163,7 @@ fn monotone_additions_resume_without_fallback() {
         assert!(stats.incremental && !stats.full_fallback, "seed {seed}");
         assert!(stats.strata_skipped > 0, "seed {seed}: {stats:?}");
 
-        let (expected, cold) = reference_solve(&edges, &colors, false);
+        let (expected, cold) = reference_solve(&edges, &colors, None);
         assert_eq!(snapshot(&e), expected, "seed {seed}");
         assert!(
             stats.rule_applications < cold.rule_applications,
@@ -173,7 +179,7 @@ fn monotone_additions_resume_without_fallback() {
 /// and still land on exactly the from-scratch result.
 #[test]
 fn retraction_through_negation_falls_back_and_stays_correct() {
-    let mut e = make_engine(false, true);
+    let mut e = make_engine(None, true);
     let mut edges: BTreeSet<(u64, u64)> = [(0, 1), (1, 2), (2, 3), (5, 6)].into();
     for &(s, d) in &edges {
         e.add_fact("edge", &[s, d]).unwrap();
@@ -184,7 +190,7 @@ fn retraction_through_negation_falls_back_and_stays_correct() {
     e.retract_fact("edge", &[1, 2]).unwrap();
     let stats = e.solve_incremental().unwrap();
     assert!(stats.incremental && stats.full_fallback, "{stats:?}");
-    let (expected, _) = reference_solve(&edges, &BTreeSet::new(), false);
+    let (expected, _) = reference_solve(&edges, &BTreeSet::new(), None);
     assert_eq!(snapshot(&e), expected);
     // 2 is no longer reachable from 0, so it reappears in `unreached`.
     assert!(e.relation_tuples("unreached").unwrap().contains(&vec![2]));
@@ -195,7 +201,7 @@ fn retraction_through_negation_falls_back_and_stays_correct() {
 /// the same facts.
 #[test]
 fn full_fallback_does_the_work_of_a_fresh_solve() {
-    let mut e = make_engine(false, true);
+    let mut e = make_engine(None, true);
     let mut edges: BTreeSet<(u64, u64)> = [(0, 1), (1, 2), (2, 3), (3, 1), (5, 6)].into();
     // The island stratum no edge reaches must be re-solved too.
     let colors: BTreeSet<u64> = [4].into();
@@ -210,7 +216,7 @@ fn full_fallback_does_the_work_of_a_fresh_solve() {
         e.retract_fact("edge", &[victim.0, victim.1]).unwrap();
         let stats = e.solve_incremental().unwrap();
         assert!(stats.full_fallback, "{victim:?}: {stats:?}");
-        let (expected, fresh) = reference_solve(&edges, &colors, false);
+        let (expected, fresh) = reference_solve(&edges, &colors, None);
         assert_eq!(snapshot(&e), expected, "{victim:?}");
         assert_eq!(stats.rounds, fresh.rounds, "{victim:?}");
         assert_eq!(
@@ -224,7 +230,7 @@ fn full_fallback_does_the_work_of_a_fresh_solve() {
 /// work: everything is skipped and the result is untouched.
 #[test]
 fn empty_delta_skips_every_stratum() {
-    let mut e = make_engine(false, true);
+    let mut e = make_engine(None, true);
     e.add_fact("edge", &[0, 1]).unwrap();
     e.add_fact("edge", &[1, 2]).unwrap();
     e.solve().unwrap();
@@ -247,7 +253,7 @@ fn sequential_solves_match_fresh_engines() {
         let edges: BTreeSet<(u64, u64)> = (0..14).map(|_| (rng.below(16), rng.below(16))).collect();
         let colors: BTreeSet<u64> = (0..3).map(|_| rng.below(16)).collect();
 
-        let mut resident = make_engine(false, true);
+        let mut resident = make_engine(None, true);
         resident
             .add_facts("edge", edges.iter().map(|&(s, d)| vec![s, d]))
             .unwrap();
@@ -257,7 +263,7 @@ fn sequential_solves_match_fresh_engines() {
 
         for round in 0..3 {
             let stats = resident.solve().unwrap();
-            let (expected, fresh_stats) = reference_solve(&edges, &colors, false);
+            let (expected, fresh_stats) = reference_solve(&edges, &colors, None);
             assert_eq!(snapshot(&resident), expected, "seed {seed} round {round}");
             assert_eq!(
                 stats.rounds, fresh_stats.rounds,
@@ -286,7 +292,7 @@ fn out_of_signature_bdds_are_refused_and_change_nothing() {
         "unreached",
         "colored",
     ];
-    let mut e = make_engine(false, true);
+    let mut e = make_engine(None, true);
     e.add_facts("edge", [vec![0, 1], vec![1, 2], vec![2, 5]])
         .unwrap();
     e.add_facts("color", [vec![3]]).unwrap();

@@ -31,9 +31,11 @@ const EDGES: &[[u64; 2]] = &[
     [5, 6],
 ];
 
-fn options(reorder: bool) -> EngineOptions {
+/// The default order (the three instances of `V` interleaved) or, with
+/// `order`, that one.
+fn options(order: Option<&str>) -> EngineOptions {
     EngineOptions {
-        reorder,
+        order: order.map(str::to_string),
         ..EngineOptions::default()
     }
 }
@@ -60,16 +62,16 @@ fn query_matches_full_solve_across_configs() {
     for v in 20..60u64 {
         edges.push([v, v + 1]);
     }
-    for reorder in [false, true] {
-        let opts = options(reorder);
+    for order in [None, Some("V2_V1_V0")] {
+        let opts = options(order);
         let (expect, full_apps) = reference(TC, &edges, "path", &[(0, 0)], &opts);
         let mut e = Engine::with_options(Program::parse(TC).unwrap(), opts.clone()).unwrap();
         e.add_facts("edge", &edges).unwrap();
         let q = e.solve_query("path(0, y)").unwrap();
         assert_eq!(q.relation, "path");
-        assert_eq!(q.tuples, expect, "reorder={reorder}");
+        assert_eq!(q.tuples, expect, "order={order:?}");
         // A cold engine pays exactly one full solve.
-        assert_eq!(q.stats.rule_applications, full_apps, "reorder={reorder}");
+        assert_eq!(q.stats.rule_applications, full_apps, "order={order:?}");
     }
 }
 

@@ -204,7 +204,6 @@ fn bdd_engine_matches_reference() {
             EngineOptions {
                 seminaive: case.seminaive,
                 order: None,
-                reorder: false,
                 ..EngineOptions::default()
             },
         )

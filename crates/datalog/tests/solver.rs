@@ -109,7 +109,6 @@ fn seminaive_and_naive_agree() {
             EngineOptions {
                 seminaive,
                 order: None,
-                reorder: false,
                 ..EngineOptions::default()
             },
         )
@@ -524,7 +523,6 @@ fn custom_order_string() {
             EngineOptions {
                 seminaive: true,
                 order: Some(order.into()),
-                reorder: false,
                 ..EngineOptions::default()
             },
         )
@@ -544,7 +542,6 @@ fn bad_order_string_rejected() {
         EngineOptions {
             seminaive: true,
             order: Some("V_W".into()),
-            reorder: false,
             ..EngineOptions::default()
         },
     )
@@ -803,7 +800,6 @@ unreached(x) :- node(x), !reach(x).
             EngineOptions {
                 seminaive,
                 order: None,
-                reorder: false,
                 ..EngineOptions::default()
             },
         )
@@ -925,4 +921,49 @@ fn exact_count_after_incremental_deltas_matches_from_scratch() {
             );
         }
     }
+}
+
+const TC_1024: &str = r#"
+DOMAINS
+V 1024
+
+RELATIONS
+input edge (src : V, dst : V)
+output path (src : V, dst : V)
+
+RULES
+path(x,y) :- edge(x,y).
+path(x,z) :- path(x,y), edge(y,z).
+"#;
+
+#[test]
+fn peak_live_nodes_resets_between_solves() {
+    let program = Program::parse(TC_1024).unwrap();
+    let mut e = Engine::new(program).unwrap();
+    e.add_fact("edge", &[1, 2]).unwrap();
+    e.add_fact("edge", &[2, 3]).unwrap();
+    e.solve().unwrap();
+
+    // Inflate the peak far beyond anything this tiny program touches:
+    // a pairing function across distant variables is exponential in the
+    // number of pairs under the fixed order.
+    let m = e.manager().clone();
+    {
+        let mut f = m.one();
+        for i in 0..11u32 {
+            let eq = m.ithvar(i).xor(&m.ithvar(16 + i)).not();
+            f = f.and(&eq);
+        }
+        assert!(m.stats().peak_live_nodes > 2048);
+        drop(f);
+    }
+
+    // The stale high-water mark must not leak into the next solve's
+    // report.
+    let stats = e.solve().unwrap();
+    assert!(
+        stats.peak_live_nodes < 2048,
+        "peak_live_nodes carried over from outside the solve: {}",
+        stats.peak_live_nodes
+    );
 }

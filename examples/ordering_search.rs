@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let result = search_ci_order(&facts, 12)?;
-    println!("\nevaluations (peak live BDD nodes, lower is better):");
+    println!("\nevaluations (peak reachable BDD nodes, lower is better):");
     for cand in &result.evaluated {
         let marker = if cand.order == result.best.order {
             "  <-- best"

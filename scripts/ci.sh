@@ -50,9 +50,6 @@ TESTKIT_BENCH_ITERS=3 TESTKIT_BENCH_WARMUP=1 \
 ./target/release/race_probe >> results/bench_smoke.jsonl
 # One taint-engine record (tiny config) appended likewise.
 ./target/release/taint_probe >> results/bench_smoke.jsonl
-# Two reordering records (kernel sift rescue + engine-level reorder on the
-# tiny config) appended likewise.
-./target/release/reorder_probe >> results/bench_smoke.jsonl
 # Two op-cache records (relation memo on vs off at layers 9, same fixed
 # kernel-cache sizing) appended likewise. --check-floor is the regression
 # gate: the appex hit rate of the memo configuration must not fall below
@@ -182,7 +179,7 @@ echo "ci.sh: analyzer fixture gate OK"
 
 # Sanitizer pass: the kernel and engine suites again, with the BDD
 # invariant sanitizer compiled in and armed (unique-table canonicity,
-# level ordering, free-list/cache audits at every GC and reorder — see
+# level ordering, free-list/cache audits at every GC — see
 # DESIGN.md §5j).
 cargo test -q -p whale-bdd -p whale-datalog --features sanitize --offline
 echo "ci.sh: sanitize test pass OK"

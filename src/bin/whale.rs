@@ -85,13 +85,12 @@ fn usage(msg: impl Into<String>) -> CliError {
 /// observability face of the kernel's op caches.
 fn print_bdd_stats(s: &whale::bdd::BddStats) {
     println!(
-        "bdd: {} live nodes (peak {}, {:.1} MiB), {} allocated, {} GCs, {} reorders",
+        "bdd: {} live nodes (peak {}, {:.1} MiB), {} allocated, {} GCs",
         s.live_nodes,
         s.peak_live_nodes,
         s.peak_bytes() as f64 / (1024.0 * 1024.0),
         s.allocated_nodes,
-        s.gc_runs,
-        s.reorder_runs
+        s.gc_runs
     );
     print!(
         "{}",

@@ -45,9 +45,7 @@
 //! and falls back to solving from the loaded facts. The key covers the
 //! program, the variable order, and the canonical node structure of every
 //! relation's base facts, so a stale dump can only be reached by a hash
-//! collision, not by a changed input. An engine that sifted its order
-//! before shutdown writes a key a fresh engine will not compute: a miss
-//! and a cold solve, never a wrong answer.
+//! collision, not by a changed input.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};

@@ -1,19 +1,23 @@
 //! Queries against full analyses: for several synthetic workload seeds,
 //! `Engine::solve_query` on the paper's context-sensitive points-to
 //! relation and on the taint engine's relations must return exactly what
-//! a full solve plus `relation_select` returns — with dynamic reordering
-//! on or off. The points-to queries are asked of a loaded but unsolved
+//! a full solve plus `relation_select` returns — under the default and a
+//! permuted variable order. The points-to queries are asked of a loaded but unsolved
 //! engine, so the query's own catch-up solve produces the answer.
 
 use whale::core::prepare_context_sensitive;
 use whale::ir::synth::{self, SynthConfig};
 use whale::prelude::*;
 
-fn opts(reorder: bool) -> Option<EngineOptions> {
-    Some(EngineOptions {
-        reorder,
-        ..default_options(CS_ORDER)
-    })
+/// [`CS_ORDER`] with the context domain moved below the heap domain.
+const PERMUTED_CS_ORDER: &str = "Z_N_F_T_M_I_V_H_C";
+
+fn opts(permuted: bool) -> Option<EngineOptions> {
+    Some(default_options(if permuted {
+        PERMUTED_CS_ORDER
+    } else {
+        CS_ORDER
+    }))
 }
 
 #[test]
@@ -26,7 +30,7 @@ fn cs_points_to_query_matches_full_solve() {
         let numbering = number_contexts(&cg);
 
         // Ground truth from one full solve (full results are
-        // config-independent; tests/reorder_determinism.rs pins that).
+        // config-independent; tests/order_determinism.rs pins that).
         let full = context_sensitive(&facts, &cg, &numbering, opts(false)).unwrap();
         let mut all = full.engine.relation_tuples("vPC").unwrap();
         all.sort_unstable();
@@ -38,11 +42,11 @@ fn cs_points_to_query_matches_full_solve() {
         expect.sort_unstable();
         assert!(!expect.is_empty());
 
-        for reorder in [false, true] {
+        for permuted in [false, true] {
             let mut cold =
-                prepare_context_sensitive(&facts, &cg, &numbering, opts(reorder)).unwrap();
+                prepare_context_sensitive(&facts, &cg, &numbering, opts(permuted)).unwrap();
             let q = cold.solve_query(&format!("vPC(c, {v}, h)")).unwrap();
-            assert_eq!(q.tuples, expect, "seed {seed:#x} reorder={reorder}");
+            assert_eq!(q.tuples, expect, "seed {seed:#x} permuted={permuted}");
         }
     }
 }
@@ -70,14 +74,14 @@ fn taint_query_matches_full_solve() {
             .unwrap();
         expect.sort_unstable();
 
-        for reorder in [false, true] {
-            let mut a = taint_analysis(&facts, &cg, &numbering, &spec, opts(reorder)).unwrap();
+        for permuted in [false, true] {
+            let mut a = taint_analysis(&facts, &cg, &numbering, &spec, opts(permuted)).unwrap();
             let q = a
                 .analysis
                 .engine
                 .solve_query(&format!("taintedV(c, {v})"))
                 .unwrap();
-            assert_eq!(q.tuples, expect, "seed {seed:#x} reorder={reorder}");
+            assert_eq!(q.tuples, expect, "seed {seed:#x} permuted={permuted}");
         }
     }
 }
