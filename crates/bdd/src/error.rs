@@ -39,6 +39,13 @@ pub enum BddError {
         /// Variables of the manager reading it.
         manager: u32,
     },
+    /// A `.bdd` dump is not in the format [`crate::io::write_bdd`] writes.
+    MalformedDump {
+        /// Line number, from 1, of the first line that is wrong.
+        line: usize,
+        /// What the format expects on that line.
+        what: String,
+    },
 }
 
 impl fmt::Display for BddError {
@@ -70,6 +77,9 @@ impl fmt::Display for BddError {
                 "bdd file has {file} variables but this manager has {manager}: \
                  it was written for another domain layout and should be deleted"
             ),
+            BddError::MalformedDump { line, what } => {
+                write!(f, "malformed bdd dump: line {line}: expected {what}")
+            }
         }
     }
 }

@@ -232,6 +232,41 @@ impl BddManager {
         self.wrap(&mut s, idx)
     }
 
+    /// The BDD whose internal nodes are `nodes`, encoded as
+    /// [`Bdd::canonical_nodes`] lists them (children before parents, a
+    /// child `0`/`1` for a terminal and `2 + i` for the `i`th triple), with
+    /// `root` encoded the same way. A node whose variable lies above both
+    /// children goes straight into the unique table; any other node is
+    /// placed by `ite` on its variable. Every node built stays protected
+    /// until the last one is, so a collection in between frees none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a child or `root` refers to a triple at or after its own
+    /// position, or a variable is out of range.
+    pub(crate) fn build_nodes(&self, nodes: &[(Level, u32, u32)], root: u32) -> Bdd {
+        let mut s = self.store.borrow_mut();
+        let mut built: Vec<u32> = Vec::with_capacity(nodes.len() + 2);
+        built.extend([ZERO, ONE]);
+        for &(var, low, high) in nodes {
+            let (low, high) = (built[low as usize], built[high as usize]);
+            let f = if var < s.level(low) && var < s.level(high) {
+                s.mk(var, low, high)
+            } else {
+                let x = s.ithvar(var);
+                s.protect(x);
+                let f = s.ite_rec(x, high, low);
+                s.unprotect(1);
+                f
+            };
+            s.protect(f);
+            built.push(f);
+        }
+        let root = self.wrap(&mut s, built[root as usize]);
+        s.unprotect(nodes.len());
+        root
+    }
+
     /// The negative literal for variable `level`.
     ///
     /// # Panics

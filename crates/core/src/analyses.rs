@@ -61,9 +61,15 @@ pub fn default_options(order: &str) -> EngineOptions {
 
 /// Default variable order for the context-insensitive analyses.
 pub const CI_ORDER: &str = "Z_N_F_T_M_I_V_H";
-/// Default variable order for the context-sensitive analyses (context bits
-/// between the variable and heap domains, as in the paper's tuned order).
-pub const CS_ORDER: &str = "Z_N_F_T_M_I_V_C_H";
+/// Default variable order of Algorithm 5, the context-sensitive points-to
+/// analysis: the context bits below the heap bits. Found by
+/// [`crate::order_search::search_order`] on freetts at 1/16 (EXPERIMENTS.md,
+/// "Per-analysis variable orders").
+pub const CS_ORDER: &str = "Z_N_F_T_I_M_V_H_C";
+/// Default variable order of Algorithm 6, the context-sensitive type
+/// analysis. Found by [`crate::order_search::search_order`] on freetts at
+/// 1/16.
+pub const CS_TYPE_ORDER: &str = "Z_T_N_F_I_M_V_C_H";
 
 /// The context-insensitive points-to rules (Algorithms 1/2/3), shared with
 /// the query programs.
@@ -189,6 +195,7 @@ pub(crate) fn context_sensitive_with_facts(
         options,
         CS_RELATIONS,
         CS_RULES,
+        CS_ORDER,
     )?;
     let stats = engine.solve()?;
     Ok(Analysis { engine, stats })
@@ -218,6 +225,7 @@ pub fn prepare_context_sensitive(
         options,
         CS_RELATIONS,
         CS_RULES,
+        CS_ORDER,
     )
 }
 
@@ -232,6 +240,7 @@ fn prepare_cs_engine(
     options: Option<EngineOptions>,
     relations: &str,
     rules: &str,
+    order: &str,
 ) -> Result<Engine, DatalogError> {
     let src = format!(
         "{}\nRELATIONS\n{}{}{}\nRULES\n{}{}",
@@ -243,10 +252,8 @@ fn prepare_cs_engine(
         extra_rules,
     );
     let program = Program::parse(&src)?;
-    let mut engine = Engine::with_options(
-        program,
-        options.unwrap_or_else(|| default_options(CS_ORDER)),
-    )?;
+    let mut engine =
+        Engine::with_options(program, options.unwrap_or_else(|| default_options(order)))?;
     load_base_facts(&mut engine, facts)?;
     for (rel, tuples) in extra_facts {
         engine.add_facts(rel, tuples)?;
@@ -448,6 +455,7 @@ pub(crate) fn cs_type_analysis_with_facts(
         options,
         CS_TYPE_RELATIONS,
         CS_TYPE_RULES,
+        CS_TYPE_ORDER,
     )?;
     let stats = engine.solve()?;
     Ok(Analysis { engine, stats })

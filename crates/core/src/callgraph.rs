@@ -1,6 +1,7 @@
 //! Call multigraphs: the input to the context numbering of Algorithm 4.
 
-use crate::input::{callgraph_rules, domains_section, load_base_facts, BASE_RELATIONS};
+use crate::analyses::{default_options, CI_ORDER};
+use crate::input::{domains_section, ie_rules, load_base_facts, BASE_RELATIONS};
 use whale_datalog::{DatalogError, Engine, Program};
 use whale_ir::Facts;
 
@@ -26,13 +27,13 @@ impl CallGraph {
     /// Propagates Datalog/BDD errors.
     pub fn from_cha(facts: &Facts) -> Result<CallGraph, DatalogError> {
         let src = format!(
-            "{}\nRELATIONS\n{}\noutput IE (invoke : I, target : M)\nassign (dest : V, source : V)\nvP (variable : V, heap : H)\n\nRULES\n{}",
+            "{}\nRELATIONS\n{}\noutput IE (invoke : I, target : M)\n\nRULES\n{}",
             domains_section(facts, &[]),
             BASE_RELATIONS,
-            callgraph_rules(true),
+            ie_rules(true),
         );
         let program = Program::parse(&src)?;
-        let mut engine = Engine::new(program)?;
+        let mut engine = Engine::with_options(program, default_options(CI_ORDER))?;
         load_base_facts(&mut engine, facts)?;
         engine.solve()?;
         Self::from_ie(facts, &engine)

@@ -94,20 +94,27 @@ pub(crate) fn set_name_maps(engine: &mut Engine, facts: &Facts) -> Result<(), Da
     Ok(())
 }
 
-/// The call-graph construction rules shared by every analysis.
+/// The invocation-edge rules `IE(i,m)`: the program's known edges plus
+/// receiver resolution.
 ///
 /// `cha_based == true` resolves receivers by their declared types (the
 /// precomputed CHA call graph the paper assumes for Algorithms 1, 2 and 5);
 /// `false` resolves by points-to results (Algorithm 3, discovered on the
 /// fly).
-pub(crate) fn callgraph_rules(cha_based: bool) -> String {
-    let mut s = String::new();
-    s.push_str("IE(i,m) :- IE0(i,m).\n");
+pub(crate) fn ie_rules(cha_based: bool) -> &'static str {
     if cha_based {
-        s.push_str("IE(i,m) :- mI(_,i,n), actual(i,0,v), vT(v,tv), aT(tv,t), cha(t,n,m).\n");
+        "IE(i,m) :- IE0(i,m).\n\
+         IE(i,m) :- mI(_,i,n), actual(i,0,v), vT(v,tv), aT(tv,t), cha(t,n,m).\n"
     } else {
-        s.push_str("IE(i,m) :- mI(_,i,n), actual(i,0,v), vP(v,h), hT(h,t), cha(t,n,m).\n");
+        "IE(i,m) :- IE0(i,m).\n\
+         IE(i,m) :- mI(_,i,n), actual(i,0,v), vP(v,h), hT(h,t), cha(t,n,m).\n"
     }
+}
+
+/// The call-graph construction rules shared by every context-insensitive
+/// analysis: [`ie_rules`] plus the `assign` edges the invocations induce.
+pub(crate) fn callgraph_rules(cha_based: bool) -> String {
+    let mut s = ie_rules(cha_based).to_string();
     s.push_str("assign(v1,v2) :- IE(i,m), formal(m,z,v1), actual(i,z,v2).\n");
     s.push_str("assign(v1,v2) :- IE(i,m), Iret(i,v1), Mret(m,v2).\n");
     // Exceptions escape callees into their callers' exception variables.

@@ -57,7 +57,7 @@ mod threads;
 pub use analyses::{
     context_insensitive, context_sensitive, cs_type_analysis, default_options,
     prepare_context_insensitive, prepare_context_sensitive, Analysis, CallGraphMode, CI_ORDER,
-    CS_ORDER,
+    CS_ORDER, CS_TYPE_ORDER,
 };
 pub use callgraph::CallGraph;
 pub use numbering::{number_contexts, ContextNumbering, EdgeContexts, CONTEXT_CLAMP};
@@ -65,4 +65,4 @@ pub use races::{detect_races, singleton_sites, RaceAnalysis, RacePair, RaceRepor
 pub use taint::{
     taint_analysis, taint_analysis_resolved, FlowKind, TaintAnalysis, TaintFinding, WitnessStep,
 };
-pub use threads::{thread_contexts, thread_escape, ThreadContexts, ThreadEscape};
+pub use threads::{thread_contexts, thread_escape, ThreadContexts, ThreadEscape, THREAD_ORDER};

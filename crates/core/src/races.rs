@@ -45,8 +45,9 @@ use whale_datalog::{DatalogError, EngineOptions};
 use whale_ir::Facts;
 
 /// Default variable order for the race program: the statement domain sits
-/// next to the other "small" domains, contexts between variables and heap
-/// as in [`crate::CS_ORDER`].
+/// next to the other "small" domains, contexts between variables and heap.
+/// Not searched: it is the order Algorithms 5–7 shared before each got its
+/// own.
 pub const RACE_ORDER: &str = "Z_N_S_F_T_M_I_V_C_H";
 
 /// One reported racy access pair, with display names resolved.

@@ -12,6 +12,13 @@ use crate::input::{domains_section, global_object, load_base_facts, BASE_RELATIO
 use whale_datalog::{DatalogError, Engine, EngineOptions, Program, SolveStats};
 use whale_ir::Facts;
 
+/// Default variable order of Algorithm 7, the thread-sensitive analysis.
+/// Found by [`crate::order_search::search_order`] on sshterm at 1/16: the
+/// freetts winner kept the context bits above the variable bits and lost
+/// on sshterm (EXPERIMENTS.md, "Per-analysis variable orders"). It is the
+/// same string as [`crate::CS_ORDER`] by measurement, not by construction.
+pub const THREAD_ORDER: &str = "Z_N_F_T_I_M_V_H_C";
+
 /// The thread-context assignment for a program.
 #[derive(Debug, Clone)]
 pub struct ThreadContexts {
@@ -318,11 +325,7 @@ unneededSyncs(c,v) :- syncs(v), vPT(c,v,_,_), !neededSyncs(c,v).
     let program = Program::parse(&src)?;
     let mut engine = Engine::with_options(
         program,
-        options.unwrap_or(EngineOptions {
-            seminaive: true,
-            order: Some(crate::analyses::CS_ORDER.into()),
-            ..EngineOptions::default()
-        }),
+        options.unwrap_or_else(|| crate::analyses::default_options(THREAD_ORDER)),
     )?;
     load_base_facts(&mut engine, facts)?;
     engine.add_facts("HT", &contexts.ht)?;

@@ -570,3 +570,37 @@ fn stale_bdd_cache_from_a_narrower_program_is_a_coded_error() {
     assert!(stderr.contains("deleted"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A corrupt `.bdd` cache file is a malformed dump, not an ordering
+/// problem: exit 1, diagnostic code E016, the file's path, the line and
+/// what the format expects there.
+#[test]
+fn malformed_bdd_cache_names_the_file_line_and_expectation() {
+    let dir = std::env::temp_dir().join(format!("whale_cli_malformed_{}", std::process::id()));
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let program = dir.join("tc.datalog");
+    std::fs::write(
+        &program,
+        "DOMAINS\nV 64\nRELATIONS\ninput edge (s : V, d : V)\noutput path (s : V, d : V)\nRULES\npath(x,y) :- edge(x,y).\n",
+    )
+    .unwrap();
+    std::fs::write(cache.join("edge.bdd"), "bdd 2 oops\n").unwrap();
+    let out = bddbddb()
+        .arg(&program)
+        .args(["--facts", dir.to_str().unwrap()])
+        .args(["--out", dir.to_str().unwrap()])
+        .args(["--bdd-cache", cache.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error[E016]"), "{stderr}");
+    assert!(stderr.contains("edge.bdd"), "{stderr}");
+    assert!(
+        stderr.contains("malformed bdd dump: line 1: expected a header `bdd"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("ordering spec"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

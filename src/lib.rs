@@ -58,7 +58,7 @@ pub mod prelude {
         context_insensitive, context_sensitive, cs_type_analysis, default_options, detect_races,
         number_contexts, queries, taint_analysis, thread_escape, Analysis, CallGraph,
         CallGraphMode, ContextNumbering, FlowKind, RaceReport, TaintAnalysis, TaintFinding,
-        CI_ORDER, CS_ORDER, RACE_ORDER,
+        CI_ORDER, CS_ORDER, CS_TYPE_ORDER, RACE_ORDER, THREAD_ORDER,
     };
     pub use whale_datalog::{Engine, EngineOptions, Program};
     pub use whale_ir::{parse_program, Facts, ProgramBuilder, TaintSpec};

@@ -1,7 +1,9 @@
 //! A variable order must change no tuple: for several synthetic workload
 //! seeds, solving under the default context-sensitive order and under a
 //! permuted one must yield identical relation tuple sets (compared as
-//! content hashes) and identical taint witness paths.
+//! content hashes) and identical taint witness paths, and Algorithms 5, 6
+//! and 7 must derive the same tuples under their own orders as under the
+//! one order they used to share.
 //!
 //! This holds by construction — the order changes only the shape of each
 //! BDD, not the function it denotes — and these tests pin it.
@@ -37,15 +39,22 @@ fn result_hash(engine: &Engine) -> u64 {
     h
 }
 
-/// [`CS_ORDER`] with the context domain moved below the heap domain.
-const PERMUTED_CS_ORDER: &str = "Z_N_F_T_M_I_V_H_C";
+/// `order` with its last two groups swapped: never `order` itself.
+fn swap_last_two(order: &str) -> String {
+    let mut g: Vec<&str> = order.split('_').collect();
+    let n = g.len();
+    g.swap(n - 2, n - 1);
+    g.join("_")
+}
 
+/// [`CS_ORDER`], or, if `permuted`, another order.
 fn opts(permuted: bool) -> Option<EngineOptions> {
-    Some(default_options(if permuted {
-        PERMUTED_CS_ORDER
+    let order = if permuted {
+        swap_last_two(CS_ORDER)
     } else {
-        CS_ORDER
-    }))
+        CS_ORDER.to_string()
+    };
+    Some(default_options(&order))
 }
 
 #[test]
@@ -130,5 +139,61 @@ fn taint_witness_paths_are_identical_under_two_orders() {
         let want = render(false);
         assert!(!want.is_empty(), "seed {seed:#x}: no findings to compare");
         assert_eq!(render(true), want, "seed {seed:#x} permuted order");
+    }
+}
+
+/// The order Algorithms 5, 6 and 7 all used before each got its own.
+const SHARED_CS_ORDER: &str = "Z_N_F_T_M_I_V_C_H";
+
+/// Algorithms 5, 6 and 7 derive the same tuples, in the same rounds and
+/// rule applications, under their own default orders as under the order
+/// they used to share.
+#[test]
+fn analyses_are_identical_under_their_orders_and_the_shared_one() {
+    assert_ne!(swap_last_two(CS_ORDER), CS_ORDER);
+    for (name, order) in [
+        ("alg5", CS_ORDER),
+        ("alg6", CS_TYPE_ORDER),
+        ("alg7", THREAD_ORDER),
+    ] {
+        assert_ne!(order, SHARED_CS_ORDER, "{name}: nothing to compare");
+    }
+    for seed in [0x5eed, 0xbeef, 0x0dd] {
+        let config = SynthConfig::tiny("det-analyses", seed);
+        let program = synth::generate(&config);
+        let facts = Facts::extract(&program);
+        let cg = CallGraph::from_cha(&facts).unwrap();
+        let numbering = number_contexts(&cg);
+        let shared = || Some(default_options(SHARED_CS_ORDER));
+        let runs = [
+            (
+                "alg5",
+                context_sensitive(&facts, &cg, &numbering, None).map(|a| (a.engine, a.stats)),
+                context_sensitive(&facts, &cg, &numbering, shared()).map(|a| (a.engine, a.stats)),
+            ),
+            (
+                "alg6",
+                cs_type_analysis(&facts, &cg, &numbering, None).map(|a| (a.engine, a.stats)),
+                cs_type_analysis(&facts, &cg, &numbering, shared()).map(|a| (a.engine, a.stats)),
+            ),
+            (
+                "alg7",
+                thread_escape(&facts, &cg, None).map(|a| (a.engine, a.stats)),
+                thread_escape(&facts, &cg, shared()).map(|a| (a.engine, a.stats)),
+            ),
+        ];
+        for (name, own, old) in runs {
+            let ((own, own_stats), (old, old_stats)) = (own.unwrap(), old.unwrap());
+            assert_eq!(
+                result_hash(&own),
+                result_hash(&old),
+                "{name} seed {seed:#x}: the variable order changed the results"
+            );
+            assert_eq!(own_stats.rounds, old_stats.rounds, "{name} seed {seed:#x}");
+            assert_eq!(
+                own_stats.rule_applications, old_stats.rule_applications,
+                "{name} seed {seed:#x}"
+            );
+        }
     }
 }

@@ -9,15 +9,22 @@ use whale::core::prepare_context_sensitive;
 use whale::ir::synth::{self, SynthConfig};
 use whale::prelude::*;
 
-/// [`CS_ORDER`] with the context domain moved below the heap domain.
-const PERMUTED_CS_ORDER: &str = "Z_N_F_T_M_I_V_H_C";
+/// `order` with its last two groups swapped: never `order` itself.
+fn swap_last_two(order: &str) -> String {
+    let mut g: Vec<&str> = order.split('_').collect();
+    let n = g.len();
+    g.swap(n - 2, n - 1);
+    g.join("_")
+}
 
+/// [`CS_ORDER`], or, if `permuted`, another order.
 fn opts(permuted: bool) -> Option<EngineOptions> {
-    Some(default_options(if permuted {
-        PERMUTED_CS_ORDER
+    let order = if permuted {
+        swap_last_two(CS_ORDER)
     } else {
-        CS_ORDER
-    }))
+        CS_ORDER.to_string()
+    };
+    Some(default_options(&order))
 }
 
 #[test]
