@@ -43,7 +43,8 @@ pub struct BddStats {
     pub live_nodes: usize,
     /// Peak live nodes observed (sampled at GC points and stat queries).
     /// Taken before a collection marks, so it counts garbage too and
-    /// mostly tracks table fill.
+    /// mostly tracks table fill. Garbage already in the table at the last
+    /// [`BddManager::reset_peak`] is left out until a collection frees it.
     pub peak_live_nodes: usize,
     /// Most nodes any garbage collection or
     /// [`BddManager::sample_reachable`] marked reachable: the peak of the
@@ -539,7 +540,7 @@ impl BddManager {
     pub fn stats(&self) -> BddStats {
         let mut s = self.store.borrow_mut();
         let live = s.live_count();
-        s.peak_live = s.peak_live.max(live);
+        s.peak_live = s.peak_live.max(s.live_since_reset());
         let (apply_cache, ite_cache, appex_cache, replace_cache, client_cache) = s.cache_stats();
         BddStats {
             varcount: s.varcount,
@@ -609,14 +610,14 @@ impl BddManager {
         self.store.borrow_mut().clear_caches();
     }
 
-    /// Resets both peak statistics to the current live count. Right
-    /// after [`BddManager::gc`] that count is exactly the reachable nodes;
-    /// at any other point it includes garbage, so the reachable peak
-    /// starts high.
+    /// Resets both peak statistics to the nodes reachable from live
+    /// handles, counted by a mark phase without a sweep: no collection
+    /// runs, so [`BddStats::gc_runs`], [`BddStats::live_nodes`] and every
+    /// op-cache entry are left as they are. Garbage still in the table is
+    /// left out of [`BddStats::peak_live_nodes`] from here on; only nodes
+    /// made afterwards raise it, until a collection frees that garbage.
     pub fn reset_peak(&self) {
-        let mut s = self.store.borrow_mut();
-        s.peak_live = s.live_count();
-        s.peak_reachable = s.peak_live;
+        self.store.borrow_mut().reset_peak();
     }
 
     /// Whether two managers are the same underlying instance.

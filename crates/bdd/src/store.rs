@@ -126,6 +126,10 @@ pub(crate) struct Store {
     perm_tail: u32,
     pub(crate) gc_runs: usize,
     pub(crate) peak_live: usize,
+    /// Unreachable nodes the last [`Store::reset_peak`] found still in the
+    /// table: garbage no collection has swept yet. `peak_live` leaves them
+    /// out, and the next collection frees them and clears the count.
+    pub(crate) stale: usize,
     /// Most nodes any collection marked reachable (see
     /// [`crate::BddStats::peak_reachable_nodes`]).
     pub(crate) peak_reachable: usize,
@@ -234,6 +238,7 @@ impl Store {
             perm_tail: 0,
             gc_runs: 0,
             peak_live: 0,
+            stale: 0,
             peak_reachable: 0,
             domains: Vec::new(),
             domain_names: HashMap::new(),
@@ -266,6 +271,12 @@ impl Store {
 
     pub(crate) fn live_count(&self) -> usize {
         self.nodes.len() - 2 - self.free_count
+    }
+
+    /// The live count without the garbage [`Store::reset_peak`] left in
+    /// the table: the sample `peak_live` folds in.
+    pub(crate) fn live_since_reset(&self) -> usize {
+        self.live_count() - self.stale
     }
 
     // ----- external reference counting ------------------------------------
@@ -413,7 +424,7 @@ impl Store {
     }
 
     pub(crate) fn gc(&mut self) {
-        self.peak_live = self.peak_live.max(self.live_count());
+        self.peak_live = self.peak_live.max(self.live_since_reset());
         self.mark_roots();
         // Sweep phase: rebuild the unique table and the free list. The used
         // prefix never shrinks, so the bucket array keeps its size.
@@ -437,7 +448,8 @@ impl Store {
         }
         // Every surviving node was marked: the live count is now exactly
         // what this collection found reachable.
-        self.peak_reachable = self.peak_reachable.max(self.live_count());
+        self.fold_reachable(self.live_count());
+        self.stale = 0;
         let freed = live_before - self.live_count();
         if freed > 0 {
             // Entries whose operands and result all survived stay warm;
@@ -471,13 +483,39 @@ impl Store {
     }
 
     /// A collection's mark phase without its sweep: counts the nodes in
-    /// use, folds the count into `peak_reachable` and clears the marks.
-    pub(crate) fn sample_reachable(&mut self) -> usize {
+    /// use and clears the marks.
+    fn count_reachable(&mut self) -> usize {
         self.mark_roots();
         let reachable = self.marks.iter().filter(|&&m| m).count();
         self.marks.fill(false);
-        self.peak_reachable = self.peak_reachable.max(reachable);
         reachable
+    }
+
+    /// Counts the nodes in use without collecting and folds the count
+    /// into `peak_reachable`.
+    pub(crate) fn sample_reachable(&mut self) -> usize {
+        let reachable = self.count_reachable();
+        self.fold_reachable(reachable);
+        reachable
+    }
+
+    /// Folds a reachable count into both peaks. `peak_live` takes it too:
+    /// a stale node that a cache hit or `mk` handed out again is in use,
+    /// yet [`Store::live_since_reset`] does not count it.
+    fn fold_reachable(&mut self, reachable: usize) {
+        self.peak_reachable = self.peak_reachable.max(reachable);
+        self.peak_live = self.peak_live.max(reachable);
+    }
+
+    /// Restarts both peaks at the nodes in use, found by a mark phase
+    /// without a sweep. The unreachable rest stays in the table, and its
+    /// op-cache entries stay warm, until a collection frees it; until then
+    /// it is `stale`, which `peak_live` leaves out.
+    pub(crate) fn reset_peak(&mut self) {
+        let reachable = self.count_reachable();
+        self.stale = self.live_count() - reachable;
+        self.peak_live = reachable;
+        self.peak_reachable = reachable;
     }
 
     /// Revalidates the operation caches after a node-freeing sweep. Freed

@@ -308,6 +308,67 @@ fn sampling_reachable_counts_in_use_nodes_without_collecting() {
     m.check_invariants().unwrap();
 }
 
+#[test]
+fn reset_peak_marks_without_collecting() {
+    let m = BddManager::with_vars(16);
+    let keep = m.ithvar(0).and(&m.ithvar(1)).or(&m.ithvar(5));
+    {
+        // Garbage: parities over growing prefixes, dropped before the reset.
+        let mut acc = m.zero();
+        for i in 0..12 {
+            acc = acc.xor(&m.ithvar(i));
+        }
+    }
+    let before = m.stats();
+    assert!(before.live_nodes > keep.node_count());
+    m.reset_peak();
+    let s = m.stats();
+    // Marked, not swept: the garbage stays in the table.
+    assert_eq!(
+        (s.gc_runs, s.live_nodes),
+        (before.gc_runs, before.live_nodes)
+    );
+    assert_eq!(s.peak_live_nodes, keep.node_count());
+    assert_eq!(s.peak_reachable_nodes, keep.node_count());
+
+    // Nodes made after the reset (over variables no garbage node tests)
+    // raise the live peak by their own number; the garbage does not count.
+    let fresh = m.ithvar(13).and(&m.ithvar(14)).and(&m.ithvar(15));
+    let s = m.stats();
+    let made = s.live_nodes - before.live_nodes;
+    assert!(made >= fresh.node_count());
+    assert_eq!(s.peak_live_nodes, keep.node_count() + made);
+
+    {
+        // Rebuilding the garbage finds its nodes still in the table and
+        // makes none; once a mark finds them in use, the live peak counts
+        // them too, so it never falls below the reachable peak.
+        let mut again = m.zero();
+        for i in 0..12 {
+            again = again.xor(&m.ithvar(i));
+        }
+        assert_eq!(m.stats().live_nodes, before.live_nodes + made);
+        assert!(m.sample_reachable() > keep.node_count() + made);
+        let s = m.stats();
+        assert_eq!(s.peak_live_nodes, s.peak_reachable_nodes);
+    }
+
+    // A collection frees the garbage and clears the stale count: once the
+    // table holds more than the old peak, the live peak is all of it.
+    m.gc();
+    let s = m.stats();
+    assert_eq!(s.gc_runs, before.gc_runs + 1);
+    assert_eq!(s.live_nodes, keep.node_count() + fresh.node_count());
+    let mut parity = m.zero();
+    for i in 0..12 {
+        parity = parity.xor(&m.ithvar(i));
+    }
+    let s = m.stats();
+    assert!(s.live_nodes > keep.node_count() + made);
+    assert_eq!(s.peak_live_nodes, s.live_nodes);
+    m.check_invariants().unwrap();
+}
+
 trait StatsExt {
     fn manager_stats_sanity(&self) -> whale_bdd::BddStats;
 }

@@ -160,7 +160,7 @@ fn header(fig: &str) -> (&'static str, &'static str) {
             "Name          Classes  Methods    Stmts    Vars  Allocs    C.S. Paths",
         ),
         "4" => (
-            "analysis time (s) / peak BDD memory (MB)",
+            "analysis time (s) / peak reachable BDD memory (MB)",
             "Name                    CI          CI+T        OTF(iters)             CS          CS-T           THR",
         ),
         "5" => (
@@ -196,13 +196,13 @@ fn text(row: &Row) -> String {
         "4" => {
             let cell = |key: &str| {
                 let c = row.cell(key);
-                (c.secs, peak_mb(get(&c.counts, "peak_live_nodes")))
+                (c.secs, peak_mb(get(&c.counts, "peak_reachable_nodes")))
             };
             let [(t1, m1), (t2, m2), (t3, m3), (t5, m5), (t6, m6), (t7, m7)] =
                 ["alg1", "alg2", "alg3", "alg5", "alg6", "alg7"].map(cell);
             format!(
-                "{name:<12} {t1:>6.1}/{m1:<6.0} {t2:>6.1}/{m2:<6.0} {t3:>7.1}/{m3:<4.0}({:>3}) \
-                 {t5:>7.1}/{m5:<6.0} {t6:>6.1}/{m6:<6.0} {t7:>6.1}/{m7:<6.0}\n",
+                "{name:<12} {t1:>6.1}/{m1:<6.1} {t2:>6.1}/{m2:<6.1} {t3:>7.1}/{m3:<4.1}({:>3}) \
+                 {t5:>7.1}/{m5:<6.1} {t6:>6.1}/{m6:<6.1} {t7:>6.1}/{m7:<6.1}\n",
                 n("alg3", "rounds"),
             )
         }

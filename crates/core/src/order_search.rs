@@ -14,7 +14,10 @@ use whale_datalog::{DatalogError, SolveStats};
 pub struct OrderCandidate {
     /// The ordering string.
     pub order: String,
-    /// The score: the solve's [`kernel_misses`]. Lower is better.
+    /// The score: the solve's [`SolveStats::kernel_misses`]. Misses rank
+    /// orders the way wall time does without its noise; the reachable peak
+    /// does not, since an order can keep fewer nodes alive while
+    /// recomputing far more of them. Lower is better.
     pub misses: u64,
     /// The tiebreak: the solve's
     /// [`SolveStats::peak_reachable_nodes`], the most nodes a collection
@@ -39,27 +42,10 @@ pub struct OrderSearchResult {
     pub evaluated: Vec<OrderCandidate>,
 }
 
-/// Deterministic kernel work of a solve: the apply, ite, appex and replace
-/// op-cache misses. Every miss is one recursion step that did real work,
-/// so the sum ranks orders the way wall time does without its noise. The
-/// reachable peak does not: an order can keep fewer nodes alive while
-/// recomputing far more of them.
-pub fn kernel_misses(stats: &SolveStats) -> u64 {
-    [
-        &stats.apply_cache,
-        &stats.ite_cache,
-        &stats.appex_cache,
-        &stats.replace_cache,
-    ]
-    .iter()
-    .map(|c| c.misses)
-    .sum()
-}
-
 /// Steepest-descent hill-climb from `start` (an `_`-separated ordering
 /// string). Each step evaluates every order one adjacent-group swap away
 /// that was not evaluated before, and moves to the best of them if it
-/// beats the current order on ([`kernel_misses`], then
+/// beats the current order on ([`SolveStats::kernel_misses`], then
 /// [`SolveStats::peak_reachable_nodes`]); a tie keeps the current order.
 /// The climb stops at a local minimum or once `budget` evaluations are
 /// spent, evaluating `start` itself included. `eval` solves the workload
@@ -87,7 +73,7 @@ where
         let stats = eval(&order)?;
         evaluated.push(OrderCandidate {
             order,
-            misses: kernel_misses(&stats),
+            misses: stats.kernel_misses(),
             peak_nodes: stats.peak_reachable_nodes,
             elapsed: t0.elapsed(),
         });
@@ -170,7 +156,7 @@ mod tests {
         s.replace_cache.misses = 4000;
         s.rel_cache.misses = 50_000;
         s.appex_cache.hits = 600_000;
-        assert_eq!(kernel_misses(&s), 4321);
+        assert_eq!(s.kernel_misses(), 4321);
     }
 
     #[test]

@@ -74,7 +74,8 @@ pub struct SolveStats {
     /// Total rule (variant) applications.
     pub rule_applications: usize,
     /// Peak live BDD nodes observed ([`whale_bdd::BddStats::peak_live_nodes`]:
-    /// sampled before a collection marks, so garbage counts too).
+    /// sampled before a collection marks, so garbage made during the solve
+    /// counts too; garbage left from before it does not).
     pub peak_live_nodes: usize,
     /// Most BDD nodes any collection during the solve, or the marking
     /// pass at its end, found reachable
@@ -118,6 +119,21 @@ pub struct SolveStats {
 }
 
 impl SolveStats {
+    /// Deterministic kernel work of the solve: its apply, ite, appex and
+    /// replace op-cache misses. Every miss is one recursion step that did
+    /// real work.
+    pub fn kernel_misses(&self) -> u64 {
+        [
+            &self.apply_cache,
+            &self.ite_cache,
+            &self.appex_cache,
+            &self.replace_cache,
+        ]
+        .iter()
+        .map(|c| c.misses)
+        .sum()
+    }
+
     /// The stratum-level timing summary the CLIs print under `--stats`:
     /// a `strata:` line with the count and summed time, then the five
     /// slowest strata that took measurable time, one line each.
@@ -805,8 +821,9 @@ impl Engine {
         // Peak-node reporting is per solve, not per engine lifetime: a
         // second solve must not inherit the first one's high-water mark,
         // nor count garbage left behind by earlier solves or by BDDs the
-        // caller built and dropped (dead nodes linger until a sweep).
-        self.mgr.gc();
+        // caller built and dropped. No collection runs here: the reset
+        // marks without sweeping, so that garbage and its op-cache entries
+        // stay until the node table fills, and a re-solve hits them.
         self.mgr.reset_peak();
         // Per-solve cache reporting: deltas against this snapshot.
         let cache_base = self.mgr.stats();
@@ -826,7 +843,7 @@ impl Engine {
         }
 
         // A solve that never collects would otherwise report only the
-        // base facts the opening collection kept.
+        // nodes the opening reset found in use.
         self.mgr.sample_reachable();
         let bdd_stats = self.mgr.stats();
         stats.peak_live_nodes = bdd_stats.peak_live_nodes;

@@ -319,3 +319,49 @@ fn out_of_signature_bdds_are_refused_and_change_nothing() {
         assert!(!e.has_pending_deltas());
     }
 }
+
+/// A resident engine keeps its op caches warm from one solve to the next:
+/// no collection runs at solve entry, so after a retraction and the
+/// re-addition of the same fact, the last re-solve (which recomputes from
+/// the base facts the first solve started from) finds the first solve's
+/// subproblems still cached, and lands on the first solve's tuples.
+#[test]
+fn resident_resolve_reuses_the_kernel_caches() {
+    let mut e = make_engine(None, true);
+    let edges: Vec<Vec<u64>> = (0..64u64)
+        .flat_map(|i| [vec![i, (i * 7 + 3) % 64], vec![i, (i * 13 + 5) % 64]])
+        .filter(|t| t[0] % 5 != 0)
+        .chain((0..48u64).map(|i| vec![i, i + 1]))
+        .collect();
+    e.add_facts("edge", edges).unwrap();
+    e.add_facts("color", [vec![3], vec![9]]).unwrap();
+    let first = e.solve().unwrap();
+    let relations: Vec<String> = e
+        .program()
+        .relations()
+        .iter()
+        .map(|r| r.name.clone())
+        .collect();
+    let tuples = |e: &Engine| -> Vec<Vec<Vec<u64>>> {
+        relations
+            .iter()
+            .map(|r| e.relation_tuples(r).unwrap())
+            .collect()
+    };
+    let before = tuples(&e);
+
+    e.retract_fact("edge", &[0, 1]).unwrap();
+    let retracted = e.solve_incremental().unwrap();
+    assert!(retracted.incremental, "{retracted:?}");
+    assert_ne!(tuples(&e), before, "the retraction changed nothing");
+
+    e.add_fact("edge", &[0, 1]).unwrap();
+    let last = e.solve_incremental().unwrap();
+    assert!(last.incremental, "{last:?}");
+    assert_eq!(tuples(&e), before);
+    let (cold, warm) = (first.kernel_misses(), last.kernel_misses());
+    assert!(
+        warm * 10 < cold,
+        "the last re-solve missed the kernel caches {warm} times, the first solve {cold}"
+    );
+}
